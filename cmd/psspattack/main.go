@@ -67,6 +67,12 @@ func main() {
 		fail(fmt.Errorf("-store applies to local runs; a psspd daemon manages its own store (psspd -store)"))
 	}
 
+	// One wire-param set drives both paths, so a local campaign and a
+	// -remote job resolve the same scenario.
+	p := daemon.AttackParams{
+		Target: *target, Scheme: s.String(), Strategy: *strategy,
+		Budget: *budget, Repeats: *repeats, Workers: *workers, Seed: *seed,
+	}
 	var rep daemon.AttackReport
 	if *remote != "" {
 		c, err := client.Dial(*remote)
@@ -78,11 +84,7 @@ func main() {
 			fmt.Printf("attacking %s (scheme %s) with %s on %s: %d replication(s), budget %d trials each...\n",
 				*target, s, *strategy, *remote, *repeats, *budget)
 		}
-		err = c.Call(context.Background(), "attack", daemon.AttackParams{
-			Target: *target, Scheme: s.String(), Strategy: *strategy,
-			Budget: *budget, Repeats: *repeats, Workers: *workers, Seed: *seed,
-		}, &rep, client.WithTenant(*tenant))
-		if err != nil {
+		if err := c.Call(context.Background(), "attack", p, &rep, client.WithTenant(*tenant)); err != nil {
 			fail(err)
 		}
 	} else {
@@ -108,11 +110,7 @@ func main() {
 			fmt.Printf("attacking %s (scheme %s) with %s: %d replication(s), budget %d trials each...\n",
 				*target, s, *strategy, *repeats, *budget)
 		}
-		res, err := m.Campaign(ctx, img, pssp.CampaignConfig{
-			Strategy:     *strategy,
-			Replications: *repeats,
-			Workers:      *workers,
-		})
+		res, err := m.Campaign(ctx, img, p.CampaignConfig(*seed))
 		if err != nil {
 			fail(err)
 		}

@@ -344,75 +344,35 @@ func submitParams(job, corpus string, stall int, f jobFlags) (fabric.SubmitParam
 // runOneShot executes one fabric job on coord and emits its report in the
 // exact shape the matching original CLI emits.
 func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitParams, jsonOut bool) error {
-	switch p.Kind {
-	case "campaign":
-		rep, err := coord.Campaign(ctx, *p.Attack)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return cliutil.EmitJSON(os.Stdout, rep)
-		}
+	res, err := coord.Run(ctx, p)
+	if err != nil {
+		return err
+	}
+	if jsonOut {
+		return cliutil.EmitJSON(os.Stdout, res)
+	}
+	switch rep := res.(type) {
+	case *daemon.AttackReport:
 		fmt.Printf("campaign %s: %d/%d successes (rate %.2f), %d oracle calls, detection rate %.3f\n",
 			rep.Target, rep.Successes, rep.Completed, rep.SuccessRate, rep.OracleCalls, rep.DetectRate)
-		return nil
-	case "loadtest":
-		if len(p.Load.Sweep) > 0 {
-			sw, err := coord.LoadSweep(ctx, *p.Load)
-			if err != nil {
-				return err
-			}
-			if jsonOut {
-				return cliutil.EmitJSON(os.Stdout, sw)
-			}
-			for _, pt := range sw.Points {
-				fmt.Printf("sweep x%-5g offered %.3f achieved %.3f goodput %.3f/Mcycle\n",
-					pt.Multiplier, pt.Report.OfferedPerMcycle, pt.Report.AchievedPerMcycle, pt.Report.GoodputPerMcycle)
-			}
-			fmt.Printf("knee multiplier: x%g\n", sw.KneeMultiplier)
-			return nil
+	case *pssp.LoadSweepReport:
+		for _, pt := range rep.Points {
+			fmt.Printf("sweep x%-5g offered %.3f achieved %.3f goodput %.3f/Mcycle\n",
+				pt.Multiplier, pt.Report.OfferedPerMcycle, pt.Report.AchievedPerMcycle, pt.Report.GoodputPerMcycle)
 		}
-		rep, err := coord.LoadTest(ctx, *p.Load)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			return cliutil.EmitJSON(os.Stdout, rep)
-		}
+		fmt.Printf("knee multiplier: x%g\n", rep.KneeMultiplier)
+	case *pssp.LoadReport:
 		fmt.Printf("loadtest %s: %d ok / %d requests, achieved %.3f/Mcycle, goodput %.3f/Mcycle\n",
 			rep.Label, rep.OK, rep.Requests, rep.AchievedPerMcycle, rep.GoodputPerMcycle)
-		return nil
-	case "fuzz":
-		var rep *pssp.FuzzReport
-		var sum *pssp.FuzzStallSummary
-		var err error
-		if p.UntilStall > 0 {
-			rep, sum, err = coord.FuzzUntilStall(ctx, *p.Fuzz, p.CorpusDir, p.UntilStall)
-		} else {
-			rep, err = coord.Fuzz(ctx, *p.Fuzz, p.CorpusDir)
-		}
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			// psspfuzz's exact shape: timed_out never set (fabric rounds are
-			// exec-bounded), until_stall only in continuous mode.
-			out := struct {
-				*pssp.FuzzReport
-				TimedOut   bool                   `json:"timed_out,omitempty"`
-				UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
-			}{rep, false, sum}
-			return cliutil.EmitJSON(os.Stdout, out)
-		}
+	case daemon.FuzzResult:
 		fmt.Printf("fuzz %s: %d execs, %d edges (frontier %016x), corpus %d, %d finding(s)\n",
 			rep.Label, rep.Execs, rep.Edges, rep.CoverageHash, rep.CorpusSize, len(rep.Findings))
-		if sum != nil {
+		if sum := rep.UntilStall; sum != nil {
 			fmt.Printf("  continuous: frontier stalled after %d round(s), %d total execs\n",
 				sum.Rounds, sum.TotalExecs)
 		}
-		return nil
 	}
-	return fmt.Errorf("unknown job kind %q", p.Kind)
+	return nil
 }
 
 // remoteArgs bundles the remote-mode verbs.

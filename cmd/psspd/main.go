@@ -1,8 +1,9 @@
 // Command psspd is the multi-tenant serving daemon of the simulation stack:
-// it keeps a warm pool of parked fork-server machines and executes
-// compile/boot/attack/loadtest/fuzz jobs submitted over a newline-delimited
-// JSON-RPC connection (see internal/daemon for the protocol), under
-// per-tenant admission control and deterministic seed derivation.
+// it caches compiled images, keeps a warm pool of parked fork-server
+// machines for boot jobs, and executes compile/boot/attack/loadtest/fuzz
+// jobs submitted over a newline-delimited JSON-RPC connection (see
+// internal/daemon for the protocol), under per-tenant admission control and
+// deterministic seed derivation.
 //
 // Jobs that name an explicit seed produce byte-identical reports to the
 // equivalent CLI invocation (psspattack/psspload/psspfuzz with -remote

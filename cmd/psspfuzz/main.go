@@ -43,7 +43,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/daemon"
 	"repro/internal/daemon/client"
-	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/pssp"
 )
@@ -116,9 +115,13 @@ func main() {
 		}
 	}
 
-	var rep *pssp.FuzzReport
-	var stallSum *pssp.FuzzStallSummary
-	timedOut := false
+	// One wire-param set drives both paths, so a local run and a -remote
+	// job resolve the same scenario.
+	fp := daemon.FuzzParams{
+		App: *app, Scheme: s.String(), Seeds: seeds, Dict: tokens,
+		Execs: *execs, Shards: *shards, Workers: *workers,
+		MaxInput: *maxIn, Seed: *seed,
+	}
 	if *remote != "" {
 		c, err := client.Dial(*remote)
 		if err != nil {
@@ -134,134 +137,121 @@ func main() {
 			}))
 		}
 		var fr daemon.FuzzResult
-		err = c.Call(ctx, "fuzz", daemon.FuzzParams{
-			App: *app, Scheme: s.String(), Seeds: seeds, Dict: tokens,
-			Execs: *execs, Shards: *shards, Workers: *workers,
-			MaxInput: *maxIn, Seed: *seed,
-		}, &fr, opts...)
-		if err != nil {
+		if err := c.Call(ctx, "fuzz", fp, &fr, opts...); err != nil {
 			fail(err)
 		}
-		rep = fr.FuzzReport
 		// A canceled partial under -duration is the requested time box.
-		timedOut = fr.TimedOut || (*duration > 0 && fr.Canceled)
-	} else {
-		machineOpts := []pssp.Option{pssp.WithSeed(*seed), pssp.WithScheme(s)}
-		var st *pssp.Store
-		if *storeDir != "" {
-			if st, err = pssp.OpenStore(*storeDir); err != nil {
-				fail(err)
-			}
-			machineOpts = append(machineOpts, pssp.WithStore(st))
-		}
-		baseSeeds := seeds
-		var corp *store.Corpus
-		var baseVirgin []byte
-		if *corpus != "" {
-			if corp, err = store.OpenCorpus(*corpus); err != nil {
-				fail(err)
-			}
-			saved, frontier, err := corp.Load()
-			if err != nil {
-				fail(err)
-			}
-			// Saved inputs ride along as extra seeds (sorted by content hash,
-			// so the scenario is a function of the corpus set alone), and the
-			// saved frontier marks their coverage as already charted.
-			seeds = append(seeds, saved...)
-			baseVirgin = frontier
-			resumed := "fresh"
-			if frontier != nil {
-				resumed = "resumed"
-			}
-			fmt.Fprintf(os.Stderr, "psspfuzz: corpus %s: %d saved input(s), frontier %s\n",
-				*corpus, len(saved), resumed)
-		}
-		m := pssp.NewMachine(machineOpts...)
-		img, err := m.Pipeline().CompileApp(*app).Image()
-		if err != nil {
-			fail(err)
-		}
-		if *stall > 0 {
-			// Continuous mode reseeds itself each round, so the base seed
-			// corpus (pre-corpus-append) and the corpus handle go in raw; the
-			// loop folds and reloads the corpus between rounds itself.
-			cfg := pssp.FuzzConfig{
-				Seeds: baseSeeds, Dict: tokens, Execs: *execs, Shards: *shards,
-				Workers: *workers, Seed: *seed, MaxInput: *maxIn,
-			}
-			rep, stallSum, err = fuzzUntilStall(ctx, m, img, cfg, corp, *stall)
-			if err != nil {
-				fail(err)
-			}
-			if st != nil {
-				ss := st.Stats()
-				fmt.Fprintf(os.Stderr, "psspfuzz: store: hits=%d misses=%d\n", ss.Hits, ss.Misses)
-			}
-			emit(*jsonOut, rep, s, 0, false, stallSum, fail)
-			return
-		}
-		rep, err = m.Fuzz(ctx, img, pssp.FuzzConfig{
-			Seeds:      seeds,
-			Dict:       tokens,
-			Execs:      *execs,
-			Shards:     *shards,
-			Workers:    *workers,
-			Seed:       *seed,
-			MaxInput:   *maxIn,
-			Progress:   progress,
-			BaseVirgin: baseVirgin,
-		})
-		if rep != nil && corp != nil {
-			// Persist even a partial run's discoveries: content-hash dedup
-			// makes re-adding idempotent and the frontier only accumulates.
-			added, aerr := corp.Add(rep.CorpusInputs())
-			if aerr == nil {
-				aerr = corp.SaveFrontier(rep.Frontier())
-			}
-			if aerr != nil {
-				fail(aerr)
-			}
-			fmt.Fprintf(os.Stderr, "psspfuzz: corpus %s: +%d new input(s), frontier merged\n", *corpus, added)
-		}
-		if st != nil {
-			ss := st.Stats()
-			fmt.Fprintf(os.Stderr, "psspfuzz: store: hits=%d misses=%d\n", ss.Hits, ss.Misses)
-		}
-		if err != nil {
-			// A -duration deadline is the requested time box, not a failure:
-			// report the partial result like a stopped fuzzing session. The
-			// check is on the returned error, not ctx.Err() — a genuine fatal
-			// error that lands after the deadline must still fail loudly.
-			if *duration > 0 && errors.Is(err, context.DeadlineExceeded) && rep != nil {
-				timedOut = true
-			} else {
-				fail(err)
-			}
-		}
+		timedOut := fr.TimedOut || (*duration > 0 && fr.Canceled)
+		emit(*jsonOut, daemon.FuzzResult{FuzzReport: fr.FuzzReport, TimedOut: timedOut}, s, *duration, fail)
+		return
 	}
 
-	emit(*jsonOut, rep, s, *duration, timedOut, stallSum, fail)
+	machineOpts := []pssp.Option{pssp.WithSeed(*seed), pssp.WithScheme(s)}
+	if *storeDir != "" {
+		st, err := pssp.OpenStore(*storeDir)
+		if err != nil {
+			fail(err)
+		}
+		machineOpts = append(machineOpts, pssp.WithStore(st))
+		defer func() {
+			ss := st.Stats()
+			fmt.Fprintf(os.Stderr, "psspfuzz: store: hits=%d misses=%d\n", ss.Hits, ss.Misses)
+		}()
+	}
+	cfg := fp.FuzzConfig(*seed)
+	var corp *store.Corpus
+	var saved [][]byte
+	var frontier []byte
+	if *corpus != "" {
+		if corp, err = store.OpenCorpus(*corpus); err != nil {
+			fail(err)
+		}
+		if saved, frontier, err = corp.Load(); err != nil {
+			fail(err)
+		}
+		resumed := "fresh"
+		if frontier != nil {
+			resumed = "resumed"
+		}
+		fmt.Fprintf(os.Stderr, "psspfuzz: corpus %s: %d saved input(s), frontier %s\n",
+			*corpus, len(saved), resumed)
+	}
+	m := pssp.NewMachine(machineOpts...)
+	img, err := m.Pipeline().CompileApp(*app).Image()
+	if err != nil {
+		fail(err)
+	}
+	if *stall > 0 {
+		// Continuous mode reseeds itself each round, so cfg goes in with the
+		// base seed corpus only; the loop reloads the corpus between rounds
+		// and each round folds its discoveries back in.
+		round := func(ctx context.Context, rc pssp.FuzzConfig) (*pssp.FuzzReport, error) {
+			r, err := m.Fuzz(ctx, img, rc)
+			if err != nil || corp == nil {
+				return r, err
+			}
+			if _, err := corp.Add(r.CorpusInputs()); err != nil {
+				return nil, err
+			}
+			return r, corp.SaveFrontier(r.Frontier())
+		}
+		logf := func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "psspfuzz: "+format+"\n", args...)
+		}
+		rep, sum, err := pssp.FuzzUntilStall(ctx, cfg, *stall, corp, round, logf)
+		if err != nil {
+			fail(err)
+		}
+		emit(*jsonOut, daemon.FuzzResult{FuzzReport: rep, UntilStall: sum}, s, 0, fail)
+		return
+	}
+	// Saved inputs ride along as extra seeds (sorted by content hash, so the
+	// scenario is a function of the corpus set alone), and the saved
+	// frontier marks their coverage as already charted.
+	cfg.Seeds = append(cfg.Seeds, saved...)
+	cfg.BaseVirgin = frontier
+	cfg.Progress = progress
+	rep, err := m.Fuzz(ctx, img, cfg)
+	if rep != nil && corp != nil {
+		// Persist even a partial run's discoveries: content-hash dedup
+		// makes re-adding idempotent and the frontier only accumulates.
+		added, aerr := corp.Add(rep.CorpusInputs())
+		if aerr == nil {
+			aerr = corp.SaveFrontier(rep.Frontier())
+		}
+		if aerr != nil {
+			fail(aerr)
+		}
+		fmt.Fprintf(os.Stderr, "psspfuzz: corpus %s: +%d new input(s), frontier merged\n", *corpus, added)
+	}
+	timedOut := false
+	if err != nil {
+		// A -duration deadline is the requested time box, not a failure:
+		// report the partial result like a stopped fuzzing session. The
+		// check is on the returned error, not ctx.Err() — a genuine fatal
+		// error that lands after the deadline must still fail loudly.
+		if *duration > 0 && errors.Is(err, context.DeadlineExceeded) && rep != nil {
+			timedOut = true
+		} else {
+			fail(err)
+		}
+	}
+	emit(*jsonOut, daemon.FuzzResult{FuzzReport: rep, TimedOut: timedOut}, s, *duration, fail)
 }
 
 // emit renders the report — the one output path of every psspfuzz mode, so
-// local, remote, single-run, and continuous runs stay byte-comparable.
-func emit(jsonOut bool, rep *pssp.FuzzReport, s pssp.Scheme, duration time.Duration, timedOut bool, stallSum *pssp.FuzzStallSummary, fail func(error)) {
+// local, remote, single-run, and continuous runs stay byte-comparable. A
+// completed run keeps the bare FuzzReport JSON shape; a time-boxed partial
+// adds "timed_out": true so scripts cannot mistake a truncated frontier for
+// a full one, and a continuous run adds its "until_stall" summary.
+func emit(jsonOut bool, res daemon.FuzzResult, s pssp.Scheme, duration time.Duration, fail func(error)) {
 	if jsonOut {
-		// A completed run keeps the bare FuzzReport shape; a time-boxed
-		// partial adds "timed_out": true so scripts cannot mistake a
-		// truncated frontier for a full one, and a continuous run adds its
-		// "until_stall" convergence summary.
-		out := struct {
-			*pssp.FuzzReport
-			TimedOut   bool                   `json:"timed_out,omitempty"`
-			UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
-		}{rep, timedOut, stallSum}
-		if err := cliutil.EmitJSON(os.Stdout, out); err != nil {
+		if err := cliutil.EmitJSON(os.Stdout, res); err != nil {
 			fail(err)
 		}
 		return
 	}
+	rep, timedOut, stallSum := res.FuzzReport, res.TimedOut, res.UntilStall
 	fmt.Printf("%s (scheme %s): %d execs over %d shard(s)", rep.Label, s, rep.Execs, rep.Shards)
 	if timedOut {
 		fmt.Printf(" [time box %v hit]", duration)
@@ -286,70 +276,5 @@ func emit(jsonOut bool, rep *pssp.FuzzReport, s pssp.Scheme, duration time.Durat
 		fmt.Printf("  finding %d: rip=0x%x %s\n", i, f.CrashPC, kind)
 		fmt.Printf("    shard %d exec %d, input %d bytes, minimized %d bytes -> overflow after %d bytes\n",
 			f.Shard, f.Exec, len(f.Input), len(f.Minimized), f.OverflowLen())
-	}
-}
-
-// fuzzUntilStall is -until-stall's round loop — the local twin of the
-// fabric coordinator's continuous mode, with identical round semantics so
-// the two stay byte-comparable: round r>0 re-derives its mutation seed as
-// rng.Mix(seed, r) and seeds itself with every input discovered so far
-// (reloaded through the persistent corpus when -corpus is set, in memory
-// otherwise), with the accumulated frontier as the round's base virgin map.
-// The frontier is monotone and bounded, so the loop terminates.
-func fuzzUntilStall(ctx context.Context, m *pssp.Machine, img *pssp.Image, cfg pssp.FuzzConfig, corp *store.Corpus, stall int) (*pssp.FuzzReport, *pssp.FuzzStallSummary, error) {
-	baseSeeds := cfg.Seeds
-	seeds := baseSeeds
-	var baseVirgin []byte
-	sum := &pssp.FuzzStallSummary{StallRounds: stall}
-	var rep *pssp.FuzzReport
-	var lastHash uint64
-	same, started := 0, false
-	for {
-		rc := cfg
-		if sum.Rounds > 0 {
-			rc.Seed = rng.Mix(cfg.Seed, uint64(sum.Rounds))
-		}
-		if corp != nil {
-			// Reload between rounds: concurrent runs sharing the corpus
-			// contribute seeds and frontier too.
-			saved, frontier, err := corp.Load()
-			if err != nil {
-				return rep, sum, err
-			}
-			seeds = append(append([][]byte{}, baseSeeds...), saved...)
-			baseVirgin = frontier
-		}
-		rc.Seeds = seeds
-		rc.BaseVirgin = baseVirgin
-		r, err := m.Fuzz(ctx, img, rc)
-		if err != nil {
-			return rep, sum, err
-		}
-		rep = r
-		sum.Rounds++
-		sum.TotalExecs += r.Execs
-		if corp != nil {
-			if _, err := corp.Add(r.CorpusInputs()); err != nil {
-				return rep, sum, err
-			}
-			if err := corp.SaveFrontier(r.Frontier()); err != nil {
-				return rep, sum, err
-			}
-		} else {
-			seeds = append(append([][]byte{}, baseSeeds...), r.CorpusInputs()...)
-			baseVirgin = r.Frontier()
-		}
-		if started && r.CoverageHash == lastHash {
-			same++
-		} else {
-			same = 0
-		}
-		started = true
-		lastHash = r.CoverageHash
-		fmt.Fprintf(os.Stderr, "psspfuzz: round %d: %d edges, frontier %016x (%d/%d stalled)\n",
-			sum.Rounds, r.Edges, r.CoverageHash, same, stall)
-		if same >= stall {
-			return rep, sum, nil
-		}
 	}
 }

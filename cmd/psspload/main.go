@@ -250,18 +250,24 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var kind pssp.ArrivalKind
-	switch *arrivals {
-	case "poisson":
-		kind = pssp.ArrivalsOpenPoisson
-	case "uniform":
-		kind = pssp.ArrivalsOpenUniform
-	case "closed":
-		kind = pssp.ArrivalsClosedLoop
-	default:
-		fail(fmt.Errorf("unknown arrival model %q (want poisson, uniform or closed)", *arrivals))
-	}
 	multipliers, err := parseSweep(*sweep)
+	if err != nil {
+		fail(err)
+	}
+	classes := make([]daemon.LoadClass, len(mix))
+	for i, rc := range mix {
+		classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
+	}
+	// One wire-param set drives both paths, so a local run and a -remote
+	// job resolve the same scenario.
+	p := daemon.LoadParams{
+		App: *app, Scheme: s.String(), Mix: classes, Arrivals: *arrivals,
+		Rate: *rate, Clients: *clients, ThinkCycles: *think,
+		Requests: *requests, DurationCycles: *duration,
+		Shards: *shards, Workers: *workers, Budget: *budget,
+		Sweep: multipliers, Seed: *seed,
+	}
+	cfg, err := daemon.LoadWorkload(p, "", *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -285,19 +291,8 @@ func main() {
 			fail(err)
 		}
 		defer c.Close()
-		classes := make([]daemon.LoadClass, len(mix))
-		for i, rc := range mix {
-			classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
-		}
 		var res daemon.LoadResult
-		err = c.Call(context.Background(), "loadtest", daemon.LoadParams{
-			App: *app, Scheme: s.String(), Mix: classes, Arrivals: *arrivals,
-			Rate: *rate, Clients: *clients, ThinkCycles: *think,
-			Requests: *requests, DurationCycles: *duration,
-			Shards: *shards, Workers: *workers, Budget: *budget,
-			Sweep: multipliers, Seed: *seed,
-		}, &res, client.WithTenant(*tenant))
-		if err != nil {
+		if err := c.Call(context.Background(), "loadtest", p, &res, client.WithTenant(*tenant)); err != nil {
 			fail(err)
 		}
 		if res.Canceled {
@@ -343,20 +338,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	cfg := pssp.WorkloadConfig{
-		Label:          *app,
-		Mix:            mix,
-		Arrivals:       kind,
-		RatePerMcycle:  *rate,
-		Clients:        *clients,
-		ThinkCycles:    *think,
-		Requests:       *requests,
-		DurationCycles: *duration,
-		Shards:         *shards,
-		Workers:        *workers,
-		Seed:           *seed,
-	}
-
 	if len(multipliers) > 0 {
 		sw, err := m.LoadSweep(ctx, img, cfg, multipliers)
 		if err != nil {

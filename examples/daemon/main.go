@@ -2,7 +2,7 @@
 // Unix socket, two tenants submitting attack and fuzz jobs through the
 // client library, streamed progress events, the determinism contract
 // (explicit seed ⇒ byte-identical to the local CLI run), per-tenant
-// quota enforcement, and a stats snapshot of the warm pool.
+// quota enforcement, and a stats snapshot of the image cache and warm pool.
 //
 // Run: go run ./examples/daemon
 package main
@@ -103,8 +103,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("=== stats: %d completed, pool %d/%d warm (hits %d, misses %d) ===\n",
-		st.Completed, st.Pool.Entries, st.Pool.Capacity, st.Pool.Hits, st.Pool.Misses)
+	fmt.Printf("=== stats: %d completed, %d image(s) cached, pool %d/%d warm (hits %d, misses %d) ===\n",
+		st.Completed, st.Pool.Images, st.Pool.Entries, st.Pool.Capacity, st.Pool.Hits, st.Pool.Misses)
 	for _, t := range st.Tenants {
 		fmt.Printf("  tenant %-6s jobs %d, cycles %d/%d\n", t.Name, t.Jobs, t.CyclesUsed, t.CyclesQuota)
 	}

@@ -288,10 +288,11 @@ func TestCancelMidCampaignReturnsPartialAndPoolStaysHealthy(t *testing.T) {
 		t.Fatal("partial campaign charged no cycles")
 	}
 
-	// The pool survived: the entry is parked again and the next job for the
-	// same key is a warm hit that runs to completion.
-	if st := d.pool.stats(); st.Entries != 1 {
-		t.Fatalf("pool entries after cancel = %d, want 1", st.Entries)
+	// Engine jobs never check out a pool entry, so a canceled campaign
+	// cannot leave one dirty: the pool is still empty, and the next job for
+	// the same seed runs to completion.
+	if st := d.pool.stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 || st.Respawns != 0 {
+		t.Fatalf("canceled campaign touched the warm pool: %+v", st)
 	}
 	params2, _ := json.Marshal(AttackParams{Scheme: "p-ssp", Budget: 64, Repeats: 2, Workers: 1, Seed: 9})
 	run2, err := d.jobFor(Request{Method: "attack", Params: params2}, ten)
@@ -300,25 +301,22 @@ func TestCancelMidCampaignReturnsPartialAndPoolStaysHealthy(t *testing.T) {
 	}
 	result2, _, err := run2(context.Background(), discardEvents(2))
 	if err != nil {
-		t.Fatalf("follow-up job on recovered pool: %v", err)
+		t.Fatalf("follow-up job after cancel: %v", err)
 	}
 	if rep2 := result2.(AttackReport); rep2.Completed != 2 || rep2.Canceled {
 		t.Fatalf("follow-up report completed=%d canceled=%v", rep2.Completed, rep2.Canceled)
 	}
-	if st := d.pool.stats(); st.Hits == 0 {
-		t.Fatal("follow-up job missed the warm pool")
-	}
 }
 
-// TestKilledMachineRespawnIsolation kills one tenant's parked machine while
-// another tenant's job is mid-flight: the victim tenant's next job respawns
-// and still produces the seed-determined report, and the bystander's result
-// is byte-identical to an undisturbed run.
+// TestKilledMachineRespawnIsolation kills one tenant's parked boot entry
+// while another tenant's attack is mid-flight: the victim tenant's next boot
+// respawns the entry and still reports the seed-determined machine, and the
+// bystander's attack report is byte-identical to an undisturbed run.
 func TestKilledMachineRespawnIsolation(t *testing.T) {
-	attackJSON := func(d *Daemon, tenant string, p AttackParams) []byte {
-		res, _, err := runJob(t, d, tenant, "attack", p)
+	jobJSON := func(d *Daemon, tenant, method string, p any) []byte {
+		res, _, err := runJob(t, d, tenant, method, p)
 		if err != nil {
-			t.Fatalf("attack job: %v", err)
+			t.Fatalf("%s job: %v", method, err)
 		}
 		raw, err := json.Marshal(res)
 		if err != nil {
@@ -326,42 +324,111 @@ func TestKilledMachineRespawnIsolation(t *testing.T) {
 		}
 		return raw
 	}
-	pa := AttackParams{Scheme: "ssp", Budget: 2048, Repeats: 1, Workers: 1, Seed: 11}
+	pa := BootParams{Scheme: "ssp", Seed: 11}
 	pb := AttackParams{Scheme: "p-ssp", Budget: 256, Repeats: 4, Workers: 1, Seed: 22}
 
 	// Baseline reports from an undisturbed daemon.
 	base := New(Config{})
 	defer base.Shutdown(context.Background())
-	wantA := attackJSON(base, "a", pa)
-	wantB := attackJSON(base, "b", pb)
+	wantA := jobJSON(base, "a", "boot", pa)
+	wantB := jobJSON(base, "b", "attack", pb)
 
 	d := New(Config{})
 	defer d.Shutdown(context.Background())
-	if got := attackJSON(d, "a", pa); string(got) != string(wantA) {
-		t.Fatal("tenant a's first report diverges from baseline")
+	if got := jobJSON(d, "a", "boot", pa); string(got) != string(wantA) {
+		t.Fatal("tenant a's first boot diverges from baseline")
 	}
 
-	// Start tenant b's job, then kill tenant a's parked machine while it runs.
+	// Start tenant b's attack, then kill tenant a's parked machine while it
+	// runs.
 	bDone := make(chan []byte, 1)
-	go func() { bDone <- attackJSON(d, "b", pb) }()
+	go func() { bDone <- jobJSON(d, "b", "attack", pb) }()
 	keyA := poolKey{imageKey{app: "nginx-vuln", scheme: pssp.SchemeSSP}, 11}
 	d.pool.mu.Lock()
 	parked := d.pool.entries[keyA]
 	d.pool.mu.Unlock()
 	if parked == nil {
-		t.Fatal("tenant a's machine not parked after its job")
+		t.Fatal("tenant a's machine not parked after its boot")
 	}
 	parked.srv.Close()
 
-	// Tenant a's next job respawns the machine and reproduces the report.
-	if got := attackJSON(d, "a", pa); string(got) != string(wantA) {
+	// Tenant a's next boot respawns the machine and reproduces the report.
+	if got := jobJSON(d, "a", "boot", pa); string(got) != string(wantA) {
 		t.Fatal("respawned machine changed tenant a's report")
 	}
 	if st := d.pool.stats(); st.Respawns == 0 {
 		t.Fatal("killed machine was not respawned")
 	}
-	// The bystander tenant's concurrent job is untouched.
+	// The bystander tenant's concurrent attack is untouched.
 	if got := <-bDone; string(got) != string(wantB) {
 		t.Fatal("tenant b's report diverged while tenant a's machine was killed")
+	}
+}
+
+// TestEngineJobsSkipWarmPool: attack, loadtest and fuzz jobs, whole or
+// shard, run on the cached image alone — they leave the warm pool's
+// entries, hits and misses exactly as a parked boot left them.
+func TestEngineJobsSkipWarmPool(t *testing.T) {
+	d := New(Config{})
+	defer d.Shutdown(context.Background())
+	if _, _, err := runJob(t, d, "t", "boot", BootParams{Scheme: "ssp", Seed: 5}); err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	before := d.pool.stats()
+	jobs := []struct {
+		method string
+		params any
+	}{
+		{"attack", AttackParams{Scheme: "ssp", Budget: 64, Workers: 1, Seed: 5}},
+		{"loadtest", LoadParams{App: "nginx-vuln", Scheme: "ssp", Requests: 8, Shards: 1, Workers: 1, Seed: 5}},
+		{"fuzz", FuzzParams{Scheme: "ssp", Execs: 16, Shards: 1, Workers: 1, Seed: 5}},
+		{"campaignshard", CampaignShardParams{AttackParams: AttackParams{Scheme: "ssp", Budget: 64, Workers: 1, Seed: 5}, Lo: 0, Hi: 1}},
+		{"loadshard", LoadShardParams{LoadParams: LoadParams{App: "nginx-vuln", Scheme: "ssp", Requests: 8, Shards: 1, Workers: 1, Seed: 5}, Lo: 0, Hi: 1}},
+		{"fuzzshard", FuzzShardParams{FuzzParams: FuzzParams{Scheme: "ssp", Execs: 16, Shards: 1, Workers: 1, Seed: 5}, Lo: 0, Hi: 1}},
+	}
+	for _, j := range jobs {
+		if _, _, err := runJob(t, d, "t", j.method, j.params); err != nil {
+			t.Fatalf("%s: %v", j.method, err)
+		}
+		st := d.pool.stats()
+		if st.Entries != before.Entries || st.Hits != before.Hits || st.Misses != before.Misses {
+			t.Fatalf("%s touched the warm pool: before %+v, after %+v", j.method, before, st)
+		}
+	}
+}
+
+// TestShardJobRejections: every shard method rejects a derived seed, a bad
+// range and an unknown scheme (and loadshard a sweep) as a bad request,
+// before admission.
+func TestShardJobRejections(t *testing.T) {
+	// params builds one shard method's lease params.
+	params := func(method string, seed uint64, scheme string, lo, hi int) any {
+		switch method {
+		case "campaignshard":
+			return CampaignShardParams{AttackParams: AttackParams{Scheme: scheme, Seed: seed}, Lo: lo, Hi: hi}
+		case "loadshard":
+			return LoadShardParams{LoadParams: LoadParams{Scheme: scheme, Seed: seed}, Lo: lo, Hi: hi}
+		default:
+			return FuzzShardParams{FuzzParams: FuzzParams{Scheme: scheme, Seed: seed}, Lo: lo, Hi: hi}
+		}
+	}
+	d := New(Config{})
+	defer d.Shutdown(context.Background())
+	reject := func(what, method string, p any) {
+		t.Helper()
+		_, err := d.Do(context.Background(), "t", method, p, nil)
+		if err == nil || wireError(err).Code != CodeBadRequest {
+			t.Errorf("%s %s: err = %v, want %s", method, what, err, CodeBadRequest)
+		}
+	}
+	for _, m := range []string{"campaignshard", "loadshard", "fuzzshard"} {
+		reject("seed 0", m, params(m, 0, "ssp", 0, 1))
+		reject("lo < 0", m, params(m, 3, "ssp", -1, 1))
+		reject("hi <= lo", m, params(m, 3, "ssp", 2, 2))
+		reject("unknown scheme", m, params(m, 3, "no-such-scheme", 0, 1))
+	}
+	reject("sweep", "loadshard", LoadShardParams{LoadParams: LoadParams{Seed: 3, Sweep: []float64{1, 2}}, Lo: 0, Hi: 1})
+	if n := d.met.admitted.Load(); n != 0 {
+		t.Errorf("%d rejected shard job(s) were admitted", n)
 	}
 }

@@ -50,35 +50,16 @@ func (d *Daemon) jobFor(req Request, t *tenant) (jobRun, error) {
 			return nil, err
 		}
 		return d.fuzzJob(p, t)
-	case "campaignshard":
-		var p CampaignShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return d.campaignShardJob(p, t)
-	case "loadshard":
-		var p LoadShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return d.loadShardJob(p, t)
-	case "fuzzshard":
-		var p FuzzShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
-			return nil, err
-		}
-		return d.fuzzShardJob(p, t)
+	case "campaignshard", "loadshard", "fuzzshard":
+		return d.shardJob(req, t)
 	default:
 		return nil, badRequest("unknown method %q", req.Method)
 	}
 }
 
-// parseScheme maps a wire scheme name (with a per-method default for "")
-// onto pssp.Scheme as a bad-request on failure.
-func parseScheme(name, dflt string) (pssp.Scheme, error) {
-	if name == "" {
-		name = dflt
-	}
+// parseScheme maps a wire scheme name onto pssp.Scheme as a bad-request on
+// failure.
+func parseScheme(name string) (pssp.Scheme, error) {
 	s, err := pssp.ParseScheme(name)
 	if err != nil {
 		return 0, badRequest("%v", err)
@@ -97,7 +78,10 @@ func (d *Daemon) compileJob(p CompileParams) (jobRun, error) {
 	if p.App == "" {
 		p.App = "nginx-vuln"
 	}
-	s, err := parseScheme(p.Scheme, "ssp")
+	if p.Scheme == "" {
+		p.Scheme = "ssp"
+	}
+	s, err := parseScheme(p.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -110,11 +94,16 @@ func (d *Daemon) compileJob(p CompileParams) (jobRun, error) {
 	}, nil
 }
 
+// bootJob parks a (app, scheme, seed) machine in the warm pool — the one
+// job kind the pool serves.
 func (d *Daemon) bootJob(p BootParams, t *tenant) (jobRun, error) {
 	if p.App == "" {
 		p.App = "nginx-vuln"
 	}
-	s, err := parseScheme(p.Scheme, "ssp")
+	if p.Scheme == "" {
+		p.Scheme = "ssp"
+	}
+	s, err := parseScheme(p.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -133,55 +122,73 @@ func (d *Daemon) bootJob(p BootParams, t *tenant) (jobRun, error) {
 	}, nil
 }
 
-// attackJob is psspattack's campaign as a daemon job. The campaign's
-// victims are replicas derived purely from the job seed, so running it on
-// a pooled machine is byte-identical to the CLI building a fresh one.
-func (d *Daemon) attackJob(p AttackParams, t *tenant) (jobRun, error) {
-	p = NormalizeAttackParams(p)
-	s, err := parseScheme(p.Scheme, "ssp")
-	if err != nil {
-		return nil, err
-	}
+// engineEnv is what an engine job runs on: the cached image, a machine
+// seeded with the job seed, and the job's progress stream.
+type engineEnv struct {
+	m    *pssp.Machine
+	img  *pssp.Image
+	seed uint64
+	ev   *eventStream
+}
+
+// engineRun is the kind-specific body of an engine job: it returns the
+// result and the victim cycles to charge.
+type engineRun func(ctx context.Context, e engineEnv) (any, uint64, error)
+
+// engineJob wraps run in the steps every attack, loadtest and fuzz job —
+// whole or shard — shares: resolve the seed (0 draws from the tenant
+// stream), fetch the cached image, build a machine. Engine jobs take only
+// what they run, never a warm-pool entry: their victims are replicas derived
+// purely from the job seed, so a parked server would go unused. The
+// machine's own seed matters only to a config whose Seed is 0, which the
+// daemon never passes.
+func (d *Daemon) engineJob(app string, s pssp.Scheme, t *tenant, explicitSeed uint64, run engineRun) jobRun {
 	return func(ctx context.Context, ev *eventStream) (any, uint64, error) {
-		seed := d.jobSeed(t, p.Seed)
-		tr := obs.TraceFrom(ctx)
-		e, err := d.pool.checkout(ctx, poolKey{imageKey{app: p.Target, scheme: s}, seed})
+		seed := d.jobSeed(t, explicitSeed)
+		img, _, err := d.pool.image(ctx, imageKey{app: app, scheme: s})
 		if err != nil {
 			return nil, 0, err
 		}
-		defer d.pool.checkin(d.ctx, e)
-		res, err := e.m.Campaign(ctx, e.img, pssp.CampaignConfig{
-			Strategy:     p.Strategy,
-			Replications: p.Repeats,
-			Workers:      p.Workers,
-			Seed:         seed,
-			Attack:       pssp.AttackConfig{MaxTrials: p.Budget},
-			Progress: func(cp pssp.CampaignProgress) {
-				tr.Event("campaign progress", cp.Cycles, "")
-				ev.progress(ProgressEvent{Kind: "attack", Campaign: &cp})
-			},
-		})
+		m := d.pool.machine(pssp.WithSeed(seed), pssp.WithScheme(s))
+		return run(ctx, engineEnv{m: m, img: img, seed: seed, ev: ev})
+	}
+}
+
+// attackJob is psspattack's campaign as a daemon job, byte-identical to the
+// CLI run at the same seed.
+func (d *Daemon) attackJob(p AttackParams, t *tenant) (jobRun, error) {
+	p = NormalizeAttackParams(p)
+	s, err := parseScheme(p.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	return d.engineJob(p.Target, s, t, p.Seed, func(ctx context.Context, e engineEnv) (any, uint64, error) {
+		tr := obs.TraceFrom(ctx)
+		cfg := p.CampaignConfig(e.seed)
+		cfg.Progress = func(cp pssp.CampaignProgress) {
+			tr.Event("campaign progress", cp.Cycles, "")
+			e.ev.progress(ProgressEvent{Kind: "attack", Campaign: &cp})
+		}
+		res, err := e.m.Campaign(ctx, e.img, cfg)
 		var cost uint64
 		if res != nil {
 			cost = res.Cycles
 		}
-		if err != nil {
-			if canceledPartial(err, res != nil && res.Completed > 0) {
-				rep := BuildAttackReport(p.Target, s, seed, p.Budget, p.Repeats, p.Workers, res)
-				rep.Canceled = true
-				return rep, cost, nil
-			}
+		if err != nil && !canceledPartial(err, res != nil && res.Completed > 0) {
 			return nil, cost, err
 		}
-		return BuildAttackReport(p.Target, s, seed, p.Budget, p.Repeats, p.Workers, res), cost, nil
-	}, nil
+		rep := BuildAttackReport(p.Target, s, e.seed, p.Budget, p.Repeats, p.Workers, res)
+		rep.Canceled = err != nil
+		return rep, cost, nil
+	}), nil
 }
 
+// loadJob is psspload's load test (or sweep) as a daemon job. Zero-value
+// params take psspload's flag defaults, so an API job and a CLI invocation
+// agree on the scenario.
 func (d *Daemon) loadJob(p LoadParams, t *tenant) (jobRun, error) {
-	// Zero-value params take psspload's flag defaults, so an API job and a
-	// CLI invocation agree on the scenario.
 	p = NormalizeLoadParams(p)
-	s, err := parseScheme(p.Scheme, "p-ssp")
+	s, err := parseScheme(p.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -189,51 +196,38 @@ func (d *Daemon) loadJob(p LoadParams, t *tenant) (jobRun, error) {
 	if _, err := ParseArrivals(p.Arrivals); err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, ev *eventStream) (any, uint64, error) {
-		seed := d.jobSeed(t, p.Seed)
-		e, err := d.pool.checkout(ctx, poolKey{imageKey{app: p.App, scheme: s}, seed})
-		if err != nil {
-			return nil, 0, err
-		}
-		defer d.pool.checkin(d.ctx, e)
-		cfg, err := LoadWorkload(p, p.App, seed)
+	return d.engineJob(p.App, s, t, p.Seed, func(ctx context.Context, e engineEnv) (any, uint64, error) {
+		cfg, err := LoadWorkload(p, "", e.seed)
 		if err != nil {
 			return nil, 0, err
 		}
 		tr := obs.TraceFrom(ctx)
 		cfg.Progress = func(lp pssp.LoadProgress) {
 			tr.Event("load progress", lp.P99Cycles, "")
-			ev.progress(ProgressEvent{Kind: "loadtest", Load: &lp})
+			e.ev.progress(ProgressEvent{Kind: "loadtest", Load: &lp})
 		}
+		var res LoadResult
+		var cost uint64
+		var partial bool
 		if len(p.Sweep) > 0 {
-			sw, err := e.m.LoadSweep(ctx, e.img, cfg, p.Sweep)
-			var cost uint64
-			if sw != nil {
-				for _, pt := range sw.Points {
+			res.Sweep, err = e.m.LoadSweep(ctx, e.img, cfg, p.Sweep)
+			if res.Sweep != nil {
+				for _, pt := range res.Sweep.Points {
 					cost += loadCost(pt.Report)
 				}
+				partial = len(res.Sweep.Points) > 0
 			}
-			if err != nil {
-				if canceledPartial(err, sw != nil && len(sw.Points) > 0) {
-					return LoadResult{Sweep: sw, Canceled: true}, cost, nil
-				}
-				return nil, cost, err
-			}
-			return LoadResult{Sweep: sw}, cost, nil
+		} else {
+			res.Report, err = e.m.LoadTest(ctx, e.img, cfg)
+			cost = loadCost(res.Report)
+			partial = res.Report != nil && res.Report.Requests > 0
 		}
-		rep, err := e.m.LoadTest(ctx, e.img, cfg)
-		var cost uint64
-		if rep != nil {
-			cost = loadCost(rep)
-		}
-		if err != nil {
-			if canceledPartial(err, rep != nil && rep.Requests > 0) {
-				return LoadResult{Report: rep, Canceled: true}, cost, nil
-			}
+		if err != nil && !canceledPartial(err, partial) {
 			return nil, cost, err
 		}
-		return LoadResult{Report: rep}, cost, nil
-	}, nil
+		res.Canceled = err != nil
+		return res, cost, nil
+	}), nil
 }
 
 // loadCost approximates a workload's victim-cycle cost: the virtual-time
@@ -247,43 +241,28 @@ func loadCost(rep *pssp.LoadReport) uint64 {
 	return rep.DurationCycles * uint64(rep.Shards)
 }
 
+// fuzzJob is psspfuzz's fuzzing run as a daemon job.
 func (d *Daemon) fuzzJob(p FuzzParams, t *tenant) (jobRun, error) {
 	p = NormalizeFuzzParams(p)
-	s, err := parseScheme(p.Scheme, "ssp")
+	s, err := parseScheme(p.Scheme)
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, ev *eventStream) (any, uint64, error) {
-		seed := d.jobSeed(t, p.Seed)
+	return d.engineJob(p.App, s, t, p.Seed, func(ctx context.Context, e engineEnv) (any, uint64, error) {
 		tr := obs.TraceFrom(ctx)
-		e, err := d.pool.checkout(ctx, poolKey{imageKey{app: p.App, scheme: s}, seed})
-		if err != nil {
-			return nil, 0, err
+		cfg := p.FuzzConfig(e.seed)
+		cfg.Progress = func(fp pssp.FuzzProgress) {
+			tr.Event("fuzz round", 0, "")
+			e.ev.progress(ProgressEvent{Kind: "fuzz", Fuzz: &fp})
 		}
-		defer d.pool.checkin(d.ctx, e)
-		rep, err := e.m.Fuzz(ctx, e.img, pssp.FuzzConfig{
-			Seeds:    p.Seeds,
-			Dict:     p.Dict,
-			Execs:    p.Execs,
-			Shards:   p.Shards,
-			Workers:  p.Workers,
-			Seed:     seed,
-			MaxInput: p.MaxInput,
-			Progress: func(fp pssp.FuzzProgress) {
-				tr.Event("fuzz round", 0, "")
-				ev.progress(ProgressEvent{Kind: "fuzz", Fuzz: &fp})
-			},
-		})
+		rep, err := e.m.Fuzz(ctx, e.img, cfg)
 		var cost uint64
 		if rep != nil {
 			cost = rep.Cycles
 		}
-		if err != nil {
-			if canceledPartial(err, rep != nil && rep.Execs > 0) {
-				return FuzzResult{FuzzReport: rep, Canceled: true}, cost, nil
-			}
+		if err != nil && !canceledPartial(err, rep != nil && rep.Execs > 0) {
 			return nil, cost, err
 		}
-		return FuzzResult{FuzzReport: rep}, cost, nil
-	}, nil
+		return FuzzResult{FuzzReport: rep, Canceled: err != nil}, cost, nil
+	}), nil
 }

@@ -2,12 +2,13 @@ package daemon
 
 import "repro/pssp"
 
-// Wire-param normalization shared by the whole-job handlers (attackJob,
-// loadJob, fuzzJob), the shard-lease handlers, and the fabric coordinator.
-// A coordinator plans a job from the same normalized params a worker
-// executes a lease from, so the two resolve the same scenario by
-// construction — the defaults here are psspattack/psspload/psspfuzz's flag
-// defaults, which is what keeps daemon jobs byte-identical to CLI runs.
+// Wire-param normalization and the one params→facade-config mapping per job
+// kind, shared by the whole-job handlers, the shard handler, the fabric
+// coordinator's plans and the CLIs' local paths. A coordinator plans a job
+// from the same normalized params a worker executes a lease from, so the
+// two resolve the same scenario by construction — the defaults here are
+// psspattack/psspload/psspfuzz's flag defaults, which is what keeps daemon
+// jobs byte-identical to CLI runs.
 
 // NormalizeAttackParams applies psspattack's flag defaults (Seed excepted:
 // 0 keeps meaning "derive from the tenant stream" for whole jobs, and is
@@ -26,6 +27,18 @@ func NormalizeAttackParams(p AttackParams) AttackParams {
 		p.Repeats = 1
 	}
 	return p
+}
+
+// CampaignConfig maps attack params onto the facade campaign config run
+// under seed; Progress is the caller's to attach.
+func (p AttackParams) CampaignConfig(seed uint64) pssp.CampaignConfig {
+	return pssp.CampaignConfig{
+		Strategy:     p.Strategy,
+		Replications: p.Repeats,
+		Workers:      p.Workers,
+		Seed:         seed,
+		Attack:       pssp.AttackConfig{MaxTrials: p.Budget},
+	}
 }
 
 // NormalizeLoadParams applies psspload's flag defaults.
@@ -61,6 +74,20 @@ func NormalizeFuzzParams(p FuzzParams) FuzzParams {
 		p.Scheme = "ssp"
 	}
 	return p
+}
+
+// FuzzConfig maps fuzz params onto the facade fuzzing config run under
+// seed; Label, BaseVirgin and Progress are the caller's to attach.
+func (p FuzzParams) FuzzConfig(seed uint64) pssp.FuzzConfig {
+	return pssp.FuzzConfig{
+		Seeds:    p.Seeds,
+		Dict:     p.Dict,
+		Execs:    p.Execs,
+		Shards:   p.Shards,
+		Workers:  p.Workers,
+		Seed:     seed,
+		MaxInput: p.MaxInput,
+	}
 }
 
 // ParseArrivals maps the wire arrival-model name ("" defaults to poisson)

@@ -26,16 +26,14 @@ type poolKey struct {
 }
 
 // entry is one parked machine: a fresh-booted fork server (zero requests
-// served) on a machine seeded with key.seed, plus the image it serves.
-// Campaign/loadtest/fuzz jobs run on the machine (their victims are
-// replicas derived purely from the job seed, so they leave the entry
-// pristine); boot jobs read the parked server. An entry whose server has
-// served requests is dirty: its kernel state has diverged from a fresh
-// boot, so check-in replaces it to keep the determinism contract.
+// served) on a machine seeded with key.seed. Boot jobs read the parked
+// server; engine jobs (attack, loadtest, fuzz) never check entries out —
+// they run on the cached image alone. An entry whose server has served
+// requests is dirty: its kernel state has diverged from a fresh boot, so
+// check-in replaces it to keep the determinism contract.
 type entry struct {
 	key poolKey
 	m   *pssp.Machine
-	img *pssp.Image
 	srv *pssp.Server
 }
 
@@ -144,7 +142,7 @@ func (p *pool) build(ctx context.Context, key poolKey) (*entry, error) {
 		return nil, fmt.Errorf("daemon: booting %s/%s seed %d: %w", key.app, key.scheme, key.seed, err)
 	}
 	obs.TraceFrom(ctx).Event("boot", 0, key.app)
-	return &entry{key: key, m: m, img: img, srv: srv}, nil
+	return &entry{key: key, m: m, srv: srv}, nil
 }
 
 // checkout hands the caller exclusive ownership of a warm entry for key,

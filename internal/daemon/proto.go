@@ -1,8 +1,9 @@
 // Package daemon implements psspd, the long-running multi-tenant serving
 // front end of the simulation stack: compile/boot/attack/loadtest/fuzz jobs
-// submitted over a newline-delimited JSON-RPC connection, executed on a warm
-// pool of parked fork-server machines, under per-tenant admission control
-// and deterministic seed derivation.
+// submitted over a newline-delimited JSON-RPC connection, executed on
+// cached compiled images (boot jobs on a warm pool of parked fork-server
+// machines), under per-tenant admission control and deterministic seed
+// derivation.
 //
 // The protocol is one JSON object per line in both directions. A client
 // sends Request lines; the daemon answers each with zero or more Event
@@ -138,7 +139,7 @@ type FuzzParams struct {
 // RegisterParams is the first line a fabric worker sends after dialing a
 // coordinator (`psspd -worker -join`): it flips the connection's roles, so
 // the coordinator thereafter issues shard-lease requests against the
-// worker's warm pool.
+// worker.
 type RegisterParams struct {
 	// Name identifies the worker in coordinator stats (default: pid-based).
 	Name string `json:"name,omitempty"`
@@ -340,8 +341,8 @@ func BuildAttackReport(target string, scheme pssp.Scheme, seed uint64, budget, r
 	return rep
 }
 
-// FuzzResult is the fuzz job's result — psspfuzz's -json shape, shared for
-// the same no-drift reason as AttackReport.
+// FuzzResult is the fuzz job's result — psspfuzz's and psspctl's -json
+// shape, shared for the same no-drift reason as AttackReport.
 type FuzzResult struct {
 	*pssp.FuzzReport
 	// TimedOut marks a wall-clock-boxed partial report (psspfuzz
@@ -349,6 +350,9 @@ type FuzzResult struct {
 	TimedOut bool `json:"timed_out,omitempty"`
 	// Canceled marks a report truncated by job cancellation.
 	Canceled bool `json:"canceled,omitempty"`
+	// UntilStall summarizes a continuous run's convergence (psspfuzz and
+	// psspctl -until-stall; never set by a daemon fuzz job).
+	UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
 }
 
 // LoadResult is the loadtest job's result: the report (or sweep report),

@@ -40,7 +40,7 @@ const (
 // mode. It dials the coordinator at addr, registers under name, and then
 // serves the outbound connection exactly like an accepted one: the roles
 // flip, and the coordinator becomes a client issuing shard-lease requests
-// against the worker's warm pool. On connection loss (coordinator restart,
+// against the worker. On connection loss (coordinator restart,
 // lease-timeout eviction) the worker rejoins with capped backoff.
 //
 // Worker returns nil once the daemon shuts down, or ctx.Err() when ctx is

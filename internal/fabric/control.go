@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/pssp"
 )
 
 // The coordinator's control plane speaks the daemon's line protocol
@@ -267,81 +266,70 @@ func (c *Coordinator) controlRequest(ctx context.Context, req daemon.Request, re
 	}
 }
 
-func (c *Coordinator) table() *jobTable {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if c.jobs == nil {
-		c.jobs = &jobTable{jobs: make(map[uint64]*job)}
-	}
-	return c.jobs
-}
-
 func (c *Coordinator) jobByID(id uint64) *job {
-	t := c.table()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.jobs[id]
+	c.jobs.mu.Lock()
+	defer c.jobs.mu.Unlock()
+	return c.jobs.jobs[id]
 }
 
 func (c *Coordinator) jobStatuses(id uint64) []JobStatus {
-	t := c.table()
-	t.mu.Lock()
+	c.jobs.mu.Lock()
 	var out []JobStatus
-	for _, j := range t.jobs {
+	for _, j := range c.jobs.jobs {
 		if id == 0 || j.id == id {
 			out = append(out, j.status())
 		}
 	}
-	t.mu.Unlock()
+	c.jobs.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
+// validate checks that p names a known kind and carries its params.
+func (p SubmitParams) validate() error {
+	switch {
+	case p.Kind == "campaign" && p.Attack == nil:
+		return fmt.Errorf("submit campaign: missing attack params")
+	case p.Kind == "loadtest" && p.Load == nil:
+		return fmt.Errorf("submit loadtest: missing load params")
+	case p.Kind == "fuzz" && p.Fuzz == nil:
+		return fmt.Errorf("submit fuzz: missing fuzz params")
+	case p.Kind != "campaign" && p.Kind != "loadtest" && p.Kind != "fuzz":
+		return fmt.Errorf("submit: unknown kind %q (want campaign, loadtest or fuzz)", p.Kind)
+	}
+	return nil
+}
+
+// Run executes one fabric job of any kind and returns its JSON-able report
+// in the exact shape the matching single-process CLI emits — the one kind
+// switch behind the control API's submit and psspctl's one-shot mode.
+func (c *Coordinator) Run(ctx context.Context, p SubmitParams) (any, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	switch {
+	case p.Kind == "campaign":
+		return c.Campaign(ctx, *p.Attack)
+	case p.Kind == "loadtest" && len(p.Load.Sweep) > 0:
+		return c.LoadSweep(ctx, *p.Load)
+	case p.Kind == "loadtest":
+		return c.LoadTest(ctx, *p.Load)
+	case p.UntilStall > 0:
+		rep, sum, err := c.FuzzUntilStall(ctx, *p.Fuzz, p.CorpusDir, p.UntilStall)
+		return daemon.FuzzResult{FuzzReport: rep, UntilStall: sum}, err
+	default:
+		rep, err := c.Fuzz(ctx, *p.Fuzz, p.CorpusDir)
+		return daemon.FuzzResult{FuzzReport: rep}, err
+	}
+}
+
 // submit validates p, registers a job, and starts it in the background.
 func (c *Coordinator) submit(ctx context.Context, p SubmitParams) (uint64, error) {
-	var run func(ctx context.Context) (any, error)
-	switch p.Kind {
-	case "campaign":
-		if p.Attack == nil {
-			return 0, fmt.Errorf("submit campaign: missing attack params")
-		}
-		a := *p.Attack
-		run = func(ctx context.Context) (any, error) { return c.Campaign(ctx, a) }
-	case "loadtest":
-		if p.Load == nil {
-			return 0, fmt.Errorf("submit loadtest: missing load params")
-		}
-		l := *p.Load
-		if len(l.Sweep) > 0 {
-			run = func(ctx context.Context) (any, error) { return c.LoadSweep(ctx, l) }
-		} else {
-			run = func(ctx context.Context) (any, error) { return c.LoadTest(ctx, l) }
-		}
-	case "fuzz":
-		if p.Fuzz == nil {
-			return 0, fmt.Errorf("submit fuzz: missing fuzz params")
-		}
-		f := *p.Fuzz
-		if p.UntilStall > 0 {
-			run = func(ctx context.Context) (any, error) {
-				rep, sum, err := c.FuzzUntilStall(ctx, f, p.CorpusDir, p.UntilStall)
-				if err != nil {
-					return nil, err
-				}
-				return struct {
-					*pssp.FuzzReport
-					UntilStall *StallSummary `json:"until_stall,omitempty"`
-				}{rep, sum}, nil
-			}
-		} else {
-			run = func(ctx context.Context) (any, error) { return c.Fuzz(ctx, f, p.CorpusDir) }
-		}
-	default:
-		return 0, fmt.Errorf("submit: unknown kind %q (want campaign, loadtest or fuzz)", p.Kind)
+	if err := p.validate(); err != nil {
+		return 0, err
 	}
-
 	jctx, cancel := context.WithCancel(ctx)
-	t := c.table()
+	t := c.jobs
 	t.mu.Lock()
 	t.nextID++
 	j := &job{id: t.nextID, kind: p.Kind, cancel: cancel, state: "running"}
@@ -350,7 +338,7 @@ func (c *Coordinator) submit(ctx context.Context, p SubmitParams) (uint64, error
 
 	go func() {
 		defer cancel()
-		res, err := run(jctx)
+		res, err := c.Run(jctx, p)
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		if err != nil {

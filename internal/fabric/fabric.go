@@ -9,8 +9,8 @@
 // listeners (Connect, psspctl's -workers list), or workers dial in and
 // register (`psspd -worker -join addr` against a Serve listener). Either
 // way the coordinator ends up holding the client side of a protocol
-// connection and issues campaignshard/loadshard/fuzzshard requests against
-// the worker's warm machine pool.
+// connection and issues campaignshard/loadshard/fuzzshard requests, which
+// the worker's one shard handler runs on its cached images.
 //
 // Determinism is inherited, not re-implemented: a lease [lo,hi) names
 // global shard indices, the worker runs them with the exact runner the
@@ -95,11 +95,7 @@ type Coordinator struct {
 	workers []*worker
 	wake    chan struct{} // buffered; signaled when a worker joins
 
-	statsMu          sync.Mutex
-	leasesIssued     uint64
-	leasesReassigned uint64
-	frontierEdges    int
-	jobs             *jobTable
+	jobs *jobTable
 }
 
 // worker is one attached psspd.
@@ -118,7 +114,19 @@ type worker struct {
 // New builds a Coordinator with no workers attached; Connect or Serve
 // attach them.
 func New(cfg Config) *Coordinator {
-	c := &Coordinator{cfg: cfg, wake: make(chan struct{}, 1), met: newFabricMetrics(cfg.Metrics)}
+	// The lease and frontier tallies live in registry atomics either way: a
+	// coordinator without Config.Metrics keeps a private registry, so Stats
+	// and the exposition read the same counters.
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	c := &Coordinator{
+		cfg:  cfg,
+		wake: make(chan struct{}, 1),
+		met:  newFabricMetrics(reg),
+		jobs: &jobTable{jobs: make(map[uint64]*job)},
+	}
 	c.registerCollectors(cfg.Metrics)
 	return c
 }
@@ -307,32 +315,10 @@ func (c *Coordinator) Stats() Stats {
 		w.mu.Unlock()
 	}
 	c.mu.Unlock()
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
 	return Stats{
 		Workers:          ws,
-		LeasesIssued:     c.leasesIssued,
-		LeasesReassigned: c.leasesReassigned,
-		FrontierEdges:    c.frontierEdges,
+		LeasesIssued:     c.met.leasesIssued.Load(),
+		LeasesReassigned: c.met.leasesReassigned.Load(),
+		FrontierEdges:    int(c.met.frontierEdges.Load()),
 	}
-}
-
-func (c *Coordinator) noteIssued() {
-	c.statsMu.Lock()
-	c.leasesIssued++
-	c.statsMu.Unlock()
-	c.met.leasesIssued.Inc()
-}
-
-func (c *Coordinator) noteReassigned() {
-	c.statsMu.Lock()
-	c.leasesReassigned++
-	c.statsMu.Unlock()
-	c.met.leasesReassigned.Inc()
-}
-
-func (c *Coordinator) noteFrontier(edges int) {
-	c.statsMu.Lock()
-	c.frontierEdges = edges
-	c.statsMu.Unlock()
 }

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/daemon"
 	"repro/internal/loadgen"
-	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/pssp"
 )
@@ -19,23 +16,33 @@ import (
 // bit-identically on any worker, which a derived per-job seed is not.
 //
 // The coordinator resolves each job's engine plan itself (via the facade's
-// plan methods, the same resolution path workers run), leases shard ranges
-// of that plan, and folds the returned partials with the engines' own merge
-// code — so the reports here are byte-identical to psspattack/psspload/
-// psspfuzz at the same seed.
+// plan methods and the daemon's params→config mapping, the same resolution
+// path workers run), leases shard ranges of that plan through leaseAll, and
+// folds the returned partials with the engines' own merge code — so the
+// reports here are byte-identical to psspattack/psspload/psspfuzz at the
+// same seed.
 
 var errSeed = errors.New("fabric: jobs require an explicit non-zero seed")
 
-// machineFor builds the coordinator's local planning machine for a job.
-func machineFor(scheme string, dflt string, seed uint64) (*pssp.Machine, pssp.Scheme, error) {
-	if scheme == "" {
-		scheme = dflt
-	}
+// machineFor builds the coordinator's local planning machine for a job with
+// normalized params.
+func machineFor(scheme string, seed uint64) (*pssp.Machine, pssp.Scheme, error) {
 	s, err := pssp.ParseScheme(scheme)
 	if err != nil {
 		return nil, 0, err
 	}
 	return pssp.NewMachine(pssp.WithSeed(seed), pssp.WithScheme(s)), s, nil
+}
+
+// planImage builds the planning machine plus the compiled image a load or
+// fuzz plan resolves against.
+func planImage(app, scheme string, seed uint64) (*pssp.Machine, *pssp.Image, error) {
+	m, _, err := machineFor(scheme, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	img, err := m.Pipeline().CompileApp(app).Image()
+	return m, img, err
 }
 
 // Campaign fans an attack campaign's replications out across the workers
@@ -45,35 +52,17 @@ func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (*dae
 	if p.Seed == 0 {
 		return nil, errSeed
 	}
-	m, s, err := machineFor(p.Scheme, "ssp", p.Seed)
+	m, s, err := machineFor(p.Scheme, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := m.CampaignPlan(pssp.CampaignConfig{
-		Strategy:     p.Strategy,
-		Replications: p.Repeats,
-		Workers:      p.Workers,
-		Seed:         p.Seed,
-		Attack:       pssp.AttackConfig{MaxTrials: p.Budget},
-	})
+	plan, err := m.CampaignPlan(p.CampaignConfig(p.Seed))
 	if err != nil {
 		return nil, err
 	}
-
-	var mu sync.Mutex
-	var parts []*pssp.CampaignPartial
-	ctx = obs.ContextWithTrace(ctx, c.beginTrace("campaign"))
-	err = c.runLeases(ctx, plan.Replications, func(ctx context.Context, w *worker, lo, hi int) error {
-		var res daemon.CampaignShardResult
-		sp := daemon.CampaignShardParams{AttackParams: p, Lo: lo, Hi: hi}
-		if err := c.callLease(ctx, w, "campaignshard", sp, &res); err != nil {
-			return err
-		}
-		mu.Lock()
-		parts = append(parts, res.Partial)
-		mu.Unlock()
-		return nil
-	})
+	parts, err := leaseAll(ctx, c, "campaign", "campaignshard", plan.Replications,
+		func(lo, hi int) any { return daemon.CampaignShardParams{AttackParams: p, Lo: lo, Hi: hi} },
+		func(r daemon.CampaignShardResult) []*pssp.CampaignPartial { return []*pssp.CampaignPartial{r.Partial} })
 	if err != nil {
 		return nil, err
 	}
@@ -85,21 +74,22 @@ func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (*dae
 	return &rep, nil
 }
 
-// loadPlan resolves the coordinator-side workload plan for p.
-func loadPlan(p daemon.LoadParams) (pssp.LoadPlan, error) {
-	m, _, err := machineFor(p.Scheme, "p-ssp", p.Seed)
-	if err != nil {
-		return pssp.LoadPlan{}, err
+// loadPlan normalizes p and resolves its coordinator-side workload plan.
+func loadPlan(p daemon.LoadParams) (daemon.LoadParams, pssp.LoadPlan, error) {
+	p = daemon.NormalizeLoadParams(p)
+	if p.Seed == 0 {
+		return p, pssp.LoadPlan{}, errSeed
 	}
-	img, err := m.Pipeline().CompileApp(p.App).Image()
+	m, img, err := planImage(p.App, p.Scheme, p.Seed)
 	if err != nil {
-		return pssp.LoadPlan{}, err
+		return p, pssp.LoadPlan{}, err
 	}
-	cfg, err := daemon.LoadWorkload(p, p.App, p.Seed)
+	cfg, err := daemon.LoadWorkload(p, "", p.Seed)
 	if err != nil {
-		return pssp.LoadPlan{}, err
+		return p, pssp.LoadPlan{}, err
 	}
-	return m.LoadPlan(img, cfg)
+	plan, err := m.LoadPlan(img, cfg)
+	return p, plan, err
 }
 
 // runLoadPoint leases one (possibly sweep-scaled) workload's shards and
@@ -114,22 +104,9 @@ func (c *Coordinator) runLoadPoint(ctx context.Context, p daemon.LoadParams, pla
 	sp.Sweep = nil
 	sp.Rate = plan.Arrivals.RatePerMcycle
 	sp.Clients = plan.Arrivals.Clients
-
-	var mu sync.Mutex
-	var parts []*pssp.LoadPartial
-	ctx = obs.ContextWithTrace(ctx, c.beginTrace("loadtest"))
-	err = c.runLeases(ctx, norm.Shards, func(ctx context.Context, w *worker, lo, hi int) error {
-		var res daemon.LoadShardResult
-		lp := sp
-		lp.Lo, lp.Hi = lo, hi
-		if err := c.callLease(ctx, w, "loadshard", lp, &res); err != nil {
-			return err
-		}
-		mu.Lock()
-		parts = append(parts, res.Partials...)
-		mu.Unlock()
-		return nil
-	})
+	parts, err := leaseAll(ctx, c, "loadtest", "loadshard", norm.Shards,
+		func(lo, hi int) any { lp := sp; lp.Lo, lp.Hi = lo, hi; return lp },
+		func(r daemon.LoadShardResult) []*pssp.LoadPartial { return r.Partials })
 	if err != nil {
 		return nil, err
 	}
@@ -139,14 +116,10 @@ func (c *Coordinator) runLoadPoint(ctx context.Context, p daemon.LoadParams, pla
 // LoadTest fans one workload's shards out across the workers and returns
 // the merged report — the exact shape psspload -json emits.
 func (c *Coordinator) LoadTest(ctx context.Context, p daemon.LoadParams) (*pssp.LoadReport, error) {
-	p = daemon.NormalizeLoadParams(p)
-	if p.Seed == 0 {
-		return nil, errSeed
-	}
 	if len(p.Sweep) > 0 {
 		return nil, errors.New("fabric: LoadTest takes a single workload; use LoadSweep")
 	}
-	plan, err := loadPlan(p)
+	p, plan, err := loadPlan(p)
 	if err != nil {
 		return nil, err
 	}
@@ -157,14 +130,10 @@ func (c *Coordinator) LoadTest(ctx context.Context, p daemon.LoadParams) (*pssp.
 // (each point leased across the workers) and locates the saturation knee —
 // the exact report psspload -sweep -json emits.
 func (c *Coordinator) LoadSweep(ctx context.Context, p daemon.LoadParams) (*pssp.LoadSweepReport, error) {
-	p = daemon.NormalizeLoadParams(p)
-	if p.Seed == 0 {
-		return nil, errSeed
-	}
 	if len(p.Sweep) == 0 {
 		return nil, errors.New("fabric: sweep needs at least one multiplier")
 	}
-	base, err := loadPlan(p)
+	p, base, err := loadPlan(p)
 	if err != nil {
 		return nil, err
 	}
@@ -186,30 +155,6 @@ func (c *Coordinator) LoadSweep(ctx context.Context, p daemon.LoadParams) (*pssp
 	return sw, nil
 }
 
-// fuzzPlan resolves the coordinator-side fuzzing plan: the normalized
-// engine scenario with the final shard count and the resolved seed corpus
-// the leases must ship.
-func fuzzPlan(p daemon.FuzzParams, seeds [][]byte, baseVirgin []byte) (pssp.FuzzPlan, error) {
-	m, _, err := machineFor(p.Scheme, "ssp", p.Seed)
-	if err != nil {
-		return pssp.FuzzPlan{}, err
-	}
-	img, err := m.Pipeline().CompileApp(p.App).Image()
-	if err != nil {
-		return pssp.FuzzPlan{}, err
-	}
-	return m.FuzzPlan(img, pssp.FuzzConfig{
-		Seeds:      seeds,
-		Dict:       p.Dict,
-		Execs:      p.Execs,
-		Shards:     p.Shards,
-		Workers:    p.Workers,
-		Seed:       p.Seed,
-		MaxInput:   p.MaxInput,
-		BaseVirgin: baseVirgin,
-	})
-}
-
 // Fuzz fans a fuzzing campaign's shards out across the workers and returns
 // the merged report — the exact shape psspfuzz -json emits. corpusDir,
 // when non-empty, mirrors psspfuzz -corpus: saved inputs seed the run, the
@@ -220,8 +165,7 @@ func (c *Coordinator) Fuzz(ctx context.Context, p daemon.FuzzParams, corpusDir s
 	if p.Seed == 0 {
 		return nil, errSeed
 	}
-	seeds := p.Seeds
-	var baseVirgin []byte
+	cfg := p.FuzzConfig(p.Seed)
 	if corpusDir != "" {
 		corp, err := store.OpenCorpus(corpusDir)
 		if err != nil {
@@ -231,44 +175,61 @@ func (c *Coordinator) Fuzz(ctx context.Context, p daemon.FuzzParams, corpusDir s
 		if err != nil {
 			return nil, err
 		}
-		seeds = append(append([][]byte{}, seeds...), saved...)
-		baseVirgin = frontier
+		cfg.Seeds = append(append([][]byte{}, cfg.Seeds...), saved...)
+		cfg.BaseVirgin = frontier
 	}
-	return c.fuzzRound(ctx, p, seeds, baseVirgin, corpusDir)
+	return c.fuzzRound(ctx, p, cfg, corpusDir)
 }
 
-// fuzzRound is one lease-and-merge pass of Fuzz/FuzzUntilStall.
-func (c *Coordinator) fuzzRound(ctx context.Context, p daemon.FuzzParams, seeds [][]byte, baseVirgin []byte, corpusDir string) (*pssp.FuzzReport, error) {
-	plan, err := fuzzPlan(p, seeds, baseVirgin)
+// FuzzUntilStall runs distributed fuzzing rounds until the merged coverage
+// frontier's hash is unchanged for stall consecutive rounds — the fabric's
+// continuous mode, driven by the facade's until-stall loop (shared with
+// psspfuzz -until-stall, so the two stay byte-comparable). Workers fold
+// each round's discoveries into the corpus when corpusDir is set.
+func (c *Coordinator) FuzzUntilStall(ctx context.Context, p daemon.FuzzParams, corpusDir string, stall int) (*pssp.FuzzReport, *pssp.FuzzStallSummary, error) {
+	p = daemon.NormalizeFuzzParams(p)
+	if p.Seed == 0 {
+		return nil, nil, errSeed
+	}
+	var corp *store.Corpus
+	if corpusDir != "" {
+		var err error
+		if corp, err = store.OpenCorpus(corpusDir); err != nil {
+			return nil, nil, err
+		}
+	}
+	round := func(ctx context.Context, cfg pssp.FuzzConfig) (*pssp.FuzzReport, error) {
+		return c.fuzzRound(ctx, p, cfg, corpusDir)
+	}
+	logf := func(format string, args ...any) { c.logf("fabric: fuzz "+format, args...) }
+	return pssp.FuzzUntilStall(ctx, p.FuzzConfig(p.Seed), stall, corp, round, logf)
+}
+
+// fuzzRound leases and merges one fuzzing run of cfg — Fuzz's only round,
+// or one of FuzzUntilStall's.
+func (c *Coordinator) fuzzRound(ctx context.Context, p daemon.FuzzParams, cfg pssp.FuzzConfig, corpusDir string) (*pssp.FuzzReport, error) {
+	m, img, err := planImage(p.App, p.Scheme, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := m.FuzzPlan(img, cfg)
 	if err != nil {
 		return nil, err
 	}
 	sp := daemon.FuzzShardParams{
 		FuzzParams: p,
 		Label:      plan.Label,
-		BaseVirgin: baseVirgin,
+		BaseVirgin: cfg.BaseVirgin,
 		CorpusDir:  corpusDir,
 	}
-	// Ship the resolved seed corpus, not the raw one: workers must mutate
-	// from exactly the seeds the plan resolved (built-in request default,
-	// corpus-loaded extras), or the scenario would drift.
-	sp.Seeds = plan.Seeds
-
-	var mu sync.Mutex
-	var parts []*pssp.FuzzPartial
-	ctx = obs.ContextWithTrace(ctx, c.beginTrace("fuzz"))
-	err = c.runLeases(ctx, plan.Shards, func(ctx context.Context, w *worker, lo, hi int) error {
-		var res daemon.FuzzShardResult
-		fp := sp
-		fp.Lo, fp.Hi = lo, hi
-		if err := c.callLease(ctx, w, "fuzzshard", fp, &res); err != nil {
-			return err
-		}
-		mu.Lock()
-		parts = append(parts, res.Partials...)
-		mu.Unlock()
-		return nil
-	})
+	// Ship the round's seed and the resolved seed corpus, not the raw one:
+	// workers must mutate from exactly the seeds the plan resolved
+	// (built-in request default, corpus-loaded extras), or the scenario
+	// would drift.
+	sp.Seed, sp.Seeds = cfg.Seed, plan.Seeds
+	parts, err := leaseAll(ctx, c, "fuzz", "fuzzshard", plan.Shards,
+		func(lo, hi int) any { fp := sp; fp.Lo, fp.Hi = lo, hi; return fp },
+		func(r daemon.FuzzShardResult) []*pssp.FuzzPartial { return r.Partials })
 	if err != nil {
 		return nil, err
 	}
@@ -276,80 +237,6 @@ func (c *Coordinator) fuzzRound(ctx context.Context, p daemon.FuzzParams, seeds 
 	if err != nil {
 		return nil, err
 	}
-	c.noteFrontier(rep.Edges)
+	c.met.frontierEdges.Set(int64(rep.Edges))
 	return rep, nil
-}
-
-// StallSummary reports a continuous fuzzing run's convergence; shared with
-// psspfuzz -until-stall through the facade so both modes emit the same
-// shape.
-type StallSummary = pssp.FuzzStallSummary
-
-// FuzzUntilStall runs distributed fuzzing rounds until the merged coverage
-// frontier's hash is unchanged for stall consecutive rounds — the fabric's
-// continuous mode. Round r>0 re-derives its mutation seed as
-// rng.Mix(seed, r) and seeds itself with every input discovered so far
-// (through the shared corpus when corpusDir is set, in memory otherwise),
-// with the accumulated frontier rebroadcast as the round's base virgin
-// map. The frontier is monotone and bounded, so the loop terminates. The
-// returned report is the final round's (its frontier and corpus are
-// cumulative by construction).
-func (c *Coordinator) FuzzUntilStall(ctx context.Context, p daemon.FuzzParams, corpusDir string, stall int) (*pssp.FuzzReport, *StallSummary, error) {
-	p = daemon.NormalizeFuzzParams(p)
-	if p.Seed == 0 {
-		return nil, nil, errSeed
-	}
-	if stall <= 0 {
-		stall = 1
-	}
-	baseSeeds := p.Seeds
-	seeds := baseSeeds
-	var baseVirgin []byte
-	sum := &StallSummary{StallRounds: stall}
-	var rep *pssp.FuzzReport
-	var lastHash uint64
-	same, started := 0, false
-	for {
-		pp := p
-		if sum.Rounds > 0 {
-			pp.Seed = rng.Mix(p.Seed, uint64(sum.Rounds))
-		}
-		if corpusDir != "" {
-			// Reload between rounds: other coordinators or local psspfuzz
-			// runs sharing the corpus contribute seeds and frontier too.
-			corp, err := store.OpenCorpus(corpusDir)
-			if err != nil {
-				return rep, sum, err
-			}
-			saved, frontier, err := corp.Load()
-			if err != nil {
-				return rep, sum, err
-			}
-			seeds = append(append([][]byte{}, baseSeeds...), saved...)
-			baseVirgin = frontier
-		}
-		r, err := c.fuzzRound(ctx, pp, seeds, baseVirgin, corpusDir)
-		if err != nil {
-			return rep, sum, err
-		}
-		rep = r
-		sum.Rounds++
-		sum.TotalExecs += r.Execs
-		if corpusDir == "" {
-			seeds = append(append([][]byte{}, baseSeeds...), r.CorpusInputs()...)
-			baseVirgin = r.Frontier()
-		}
-		if started && r.CoverageHash == lastHash {
-			same++
-		} else {
-			same = 0
-		}
-		started = true
-		lastHash = r.CoverageHash
-		c.logf("fabric: fuzz round %d: %d edges, frontier %016x (%d/%d stalled)",
-			sum.Rounds, r.Edges, r.CoverageHash, same, stall)
-		if same >= stall {
-			return rep, sum, nil
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/daemon"
@@ -21,6 +22,29 @@ type lease struct {
 // the returned partial into the job's collection. Implementations must be
 // safe for concurrent calls (one per busy worker).
 type leaseCall func(ctx context.Context, w *worker, lo, hi int) error
+
+// leaseAll runs shards [0, shards) of one job as method leases across the
+// workers and returns every lease's partials for the merge — the one
+// lease-and-merge loop behind every fabric job kind. params builds a
+// lease's wire params from its range; partials unpacks its result. kind
+// names the job's flight-recorder trace.
+func leaseAll[R, P any](ctx context.Context, c *Coordinator, kind, method string, shards int,
+	params func(lo, hi int) any, partials func(R) []P) ([]P, error) {
+	var mu sync.Mutex
+	var out []P
+	ctx = obs.ContextWithTrace(ctx, c.beginTrace(kind))
+	err := c.runLeases(ctx, shards, func(ctx context.Context, w *worker, lo, hi int) error {
+		var res R
+		if err := c.callLease(ctx, w, method, params(lo, hi), &res); err != nil {
+			return err
+		}
+		mu.Lock()
+		out = append(out, partials(res)...)
+		mu.Unlock()
+		return nil
+	})
+	return out, err
+}
 
 // doneMsg reports one finished dispatch back to the engine loop.
 type doneMsg struct {
@@ -84,7 +108,7 @@ func (c *Coordinator) runLeases(ctx context.Context, shards int, call leaseCall)
 			// The worker is healthy but its admission queue was full:
 			// requeue without blaming it.
 			c.release(msg.w, 0, 0)
-			c.noteReassigned()
+			c.met.leasesReassigned.Inc()
 			pending = append(pending, msg.l)
 		case outcomeInfra:
 			c.markDead(msg.w)
@@ -98,7 +122,7 @@ func (c *Coordinator) runLeases(ctx context.Context, shards int, call leaseCall)
 				cancel()
 				return
 			}
-			c.noteReassigned()
+			c.met.leasesReassigned.Inc()
 			tr.Event("lease re-issue", 0, leaseRange(l.lo, l.hi))
 			c.logf("fabric: re-issuing lease [%d,%d) (attempt %d) after %s: %v",
 				l.lo, l.hi, l.retries+1, msg.w.name, msg.err)
@@ -125,7 +149,7 @@ func (c *Coordinator) runLeases(ctx context.Context, shards int, call leaseCall)
 			l := pending[0]
 			pending = pending[1:]
 			inflight++
-			c.noteIssued()
+			c.met.leasesIssued.Inc()
 			tr.Event("lease dispatch", 0, leaseRange(l.lo, l.hi))
 			go func(l lease, w *worker) {
 				start := time.Now()

@@ -7,16 +7,16 @@ import (
 	"repro/internal/obs"
 )
 
-// fabricMetrics is the coordinator's registry slice. All handles are
-// nil-safe, so a coordinator built without Config.Metrics records nothing
-// at a nil check per site — the Stats wire shape stays authoritative
-// either way.
+// fabricMetrics is the coordinator's registry slice: one atomic per fact.
+// The lease counters and the frontier gauge are the storage Stats reads
+// back, so the stats RPC and the exposition cannot disagree.
 type fabricMetrics struct {
 	leasesIssued     *obs.Counter
 	leasesReassigned *obs.Counter
 	watchdogResets   *obs.Counter
 	workersLost      *obs.Counter
-	leaseLatency     *obs.Hist // ns per completed lease
+	frontierEdges    *obs.Gauge // merged frontier size of the latest fuzz job
+	leaseLatency     *obs.Hist  // ns per completed lease
 	jobSeq           atomic.Uint64
 }
 
@@ -26,13 +26,13 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		leasesReassigned: reg.Counter("fabric_leases_reassigned_total"),
 		watchdogResets:   reg.Counter("fabric_watchdog_resets_total"),
 		workersLost:      reg.Counter("fabric_workers_lost_total"),
+		frontierEdges:    reg.Gauge("fabric_frontier_edges"),
 		leaseLatency:     reg.Hist("fabric_lease_latency_ns"),
 	}
 }
 
-// registerCollectors emits the per-worker view (shards/sec, liveness) and
-// the frontier size at scrape time, straight from the same snapshot the
-// stats RPC serves.
+// registerCollectors emits the per-worker view (shards/sec, liveness) at
+// scrape time, straight from the same snapshot the stats RPC serves.
 func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -48,7 +48,6 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 			emit(obs.Label("fabric_worker_shards_per_sec", "worker", w.Name), w.ShardsPerSec)
 		}
 		emit("fabric_workers_alive", float64(alive))
-		emit("fabric_frontier_edges", float64(st.FrontierEdges))
 	})
 }
 

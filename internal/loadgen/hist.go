@@ -81,35 +81,11 @@ func (h *Hist) Mean() float64 {
 	return float64(h.sum) / float64(h.count)
 }
 
-// Quantile returns the value at quantile q in [0, 1]: the upper bound of the
-// bucket holding the nearest-rank sample, clamped to the exact observed
-// min/max. Quantile(0) is the minimum, Quantile(1) the maximum.
+// Quantile returns the value at quantile q in [0, 1] by obs.Quantile's rule:
+// the upper bound of the bucket holding the nearest-rank sample, clamped to
+// the exact observed maximum, so Quantile(1) is the maximum.
 func (h *Hist) Quantile(q float64) uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := uint64(q*float64(h.count) + 0.9999999)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.count {
-		rank = h.count
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			v := bucketMax(i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-	}
-	return h.max
+	return obs.Quantile(&h.counts, h.count, h.max, q)
 }
 
 // Bucket is one non-empty histogram bucket: Count samples with values at

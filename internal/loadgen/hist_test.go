@@ -95,3 +95,26 @@ func TestHistSummaryEmpty(t *testing.T) {
 		t.Fatalf("empty summary not zero: %+v", s)
 	}
 }
+
+// TestMetricsAndReportQuantilesAgree feeds the same samples to a metrics
+// histogram and a report histogram: /metrics and a report must give the
+// same p50, p90, p99 and p999. The small sample counts are where a floor
+// rank and a nearest rank part ways.
+func TestMetricsAndReportQuantilesAgree(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 7, 10, 100, 1000, 5000} {
+		met := obs.NewRegistry().Hist("latency")
+		var rep Hist
+		for i := 0; i < n; i++ {
+			v := r.Uint64() >> uint(40+r.Intn(24))
+			met.Record(v)
+			rep.Record(v)
+		}
+		snap := met.Snapshot()
+		got, want := snap.Summary(), rep.Summary()
+		if got.P50 != want.P50 || got.P90 != want.P90 || got.P99 != want.P99 || got.P999 != want.P999 {
+			t.Errorf("n=%d: metrics p50/p90/p99/p999 = %d/%d/%d/%d, report %d/%d/%d/%d", n,
+				got.P50, got.P90, got.P99, got.P999, want.P50, want.P90, want.P99, want.P999)
+		}
+	}
+}

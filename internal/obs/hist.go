@@ -98,21 +98,34 @@ type HistSnapshot struct {
 
 // Quantile returns the value at quantile q in [0, 1].
 func (s *HistSnapshot) Quantile(q float64) uint64 {
-	if s.Count == 0 {
+	return Quantile(&s.Counts, s.Count, s.Max, q)
+}
+
+// Quantile is the one quantile rule, shared by the metrics registry and the
+// loadgen reports so /metrics and a report agree on every percentile: the
+// value at quantile q in [0, 1] of count samples bucketed in counts is the
+// upper bound of the bucket holding the nearest-rank sample, clamped to the
+// exact largest sample maxSample. (That bound is never below the smallest
+// sample, so no lower clamp is needed.)
+func Quantile(counts *[NumBuckets]uint64, count, maxSample uint64, q float64) uint64 {
+	if count == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(s.Count))
-	if rank >= s.Count {
-		rank = s.Count - 1
+	rank := uint64(q*float64(count) + 0.9999999)
+	if rank < 1 {
+		rank = 1
 	}
-	var seen uint64
-	for i, c := range s.Counts {
-		seen += c
-		if seen > rank {
-			return BucketMax(i)
+	if rank > count {
+		rank = count
+	}
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		if cum >= rank {
+			return min(BucketMax(i), maxSample)
 		}
 	}
-	return s.Max
+	return maxSample
 }
 
 // Mean returns the arithmetic mean of recorded samples.

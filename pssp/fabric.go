@@ -13,6 +13,8 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/fuzz"
 	"repro/internal/loadgen"
+	"repro/internal/rng"
+	"repro/internal/store"
 )
 
 // CampaignPlan is a campaign's resolved engine configuration; see
@@ -46,11 +48,7 @@ type FuzzPlan = fuzz.Config
 type FuzzPartial = fuzz.Partial
 
 // FuzzStallSummary reports a continuous (until-stall) fuzzing run's
-// convergence: psspfuzz -until-stall locally, Coordinator.FuzzUntilStall
-// distributed. Both loops share the semantics — round r>0 re-derives its
-// mutation seed from (seed, r), seeds itself with everything discovered so
-// far, and stops once the frontier hash is unchanged for StallRounds
-// consecutive rounds — so their reports stay byte-comparable.
+// convergence; see FuzzUntilStall.
 type FuzzStallSummary struct {
 	// Rounds is the number of rounds executed; StallRounds the configured
 	// consecutive-unchanged-frontier stop threshold.
@@ -59,6 +57,65 @@ type FuzzStallSummary struct {
 	// TotalExecs sums executions across rounds (the final report's Execs
 	// covers only the last round).
 	TotalExecs int `json:"total_execs"`
+}
+
+// Corpus is a persistent fuzzing corpus directory; see store.Corpus.
+type Corpus = store.Corpus
+
+// FuzzUntilStall is the one continuous-mode fuzzing loop, behind psspfuzz
+// -until-stall and the fabric coordinator's distributed rounds alike: it
+// runs round until the coverage frontier's hash is unchanged for stall
+// consecutive rounds. Round r>0 re-derives its mutation seed as
+// rng.Mix(cfg.Seed, r) and seeds itself with cfg.Seeds plus every input
+// discovered so far, with the accumulated frontier as its BaseVirgin. With a
+// corpus both are reloaded from it before every round — concurrent runs
+// sharing it contribute too — and round must fold its discoveries back in;
+// without one they carry over in memory. The frontier is monotone and
+// bounded, so the loop terminates. The returned report is the final
+// round's, whose frontier and corpus are cumulative by construction. logf
+// receives one line per round.
+func FuzzUntilStall(ctx context.Context, cfg FuzzConfig, stall int, corpus *Corpus,
+	round func(context.Context, FuzzConfig) (*FuzzReport, error), logf func(format string, args ...any)) (*FuzzReport, *FuzzStallSummary, error) {
+	if stall <= 0 {
+		stall = 1
+	}
+	sum := &FuzzStallSummary{StallRounds: stall}
+	var rep *FuzzReport
+	same := 0
+	for {
+		rc := cfg
+		if sum.Rounds > 0 {
+			rc.Seed = rng.Mix(cfg.Seed, uint64(sum.Rounds))
+		}
+		if corpus != nil {
+			saved, frontier, err := corpus.Load()
+			if err != nil {
+				return rep, sum, err
+			}
+			rc.Seeds = append(append([][]byte{}, cfg.Seeds...), saved...)
+			rc.BaseVirgin = frontier
+		} else if rep != nil {
+			rc.Seeds = append(append([][]byte{}, cfg.Seeds...), rep.CorpusInputs()...)
+			rc.BaseVirgin = rep.Frontier()
+		}
+		r, err := round(ctx, rc)
+		if err != nil {
+			return rep, sum, err
+		}
+		sum.Rounds++
+		sum.TotalExecs += r.Execs
+		if rep != nil && r.CoverageHash == rep.CoverageHash {
+			same++
+		} else {
+			same = 0
+		}
+		rep = r
+		logf("round %d: %d edges, frontier %016x (%d/%d stalled)",
+			sum.Rounds, r.Edges, r.CoverageHash, same, stall)
+		if same >= stall {
+			return rep, sum, nil
+		}
+	}
 }
 
 // CampaignPlan resolves cfg exactly as Campaign would — strategy-conflict
