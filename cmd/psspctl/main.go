@@ -54,7 +54,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -306,16 +305,12 @@ func submitParams(job, corpus string, stall int, f jobFlags) (fabric.SubmitParam
 		if err != nil {
 			return p, err
 		}
-		classes := make([]daemon.LoadClass, len(mix))
-		for i, rc := range mix {
-			classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
-		}
-		multipliers, err := parseSweep(f.sweep)
+		multipliers, err := cliutil.ParseSweep(f.sweep)
 		if err != nil {
 			return p, err
 		}
 		p.Load = &daemon.LoadParams{
-			App: f.app, Scheme: f.scheme, Mix: classes, Arrivals: f.arrivals,
+			App: f.app, Scheme: f.scheme, Mix: mix, Arrivals: f.arrivals,
 			Rate: f.rate, Clients: f.clients, ThinkCycles: f.think,
 			Requests: f.requests, DurationCycles: f.duration,
 			Shards: f.shards, Workers: f.jobWorkers, Budget: f.probes,
@@ -494,20 +489,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseSweep parses the -sweep multiplier list (psspload's grammar).
-func parseSweep(spec string) ([]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, s := range strings.Split(spec, ",") {
-		m, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || !(m > 0) {
-			return nil, fmt.Errorf("sweep multiplier %q: want a positive number", s)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,22 +45,6 @@ import (
 	"repro/internal/daemon/client"
 	"repro/pssp"
 )
-
-// parseSweep parses the -sweep multiplier list.
-func parseSweep(spec string) ([]float64, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, s := range strings.Split(spec, ",") {
-		m, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || !(m > 0) {
-			return nil, fmt.Errorf("sweep multiplier %q: want a positive number", s)
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
 
 func us(cycles uint64) string {
 	return fmt.Sprintf("%.3f", float64(cycles)/pssp.CyclesPerMicrosecond)
@@ -250,18 +232,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	multipliers, err := parseSweep(*sweep)
+	multipliers, err := cliutil.ParseSweep(*sweep)
 	if err != nil {
 		fail(err)
-	}
-	classes := make([]daemon.LoadClass, len(mix))
-	for i, rc := range mix {
-		classes[i] = daemon.LoadClass{Name: rc.Name, Weight: rc.Weight, Payload: rc.Payload, Probe: rc.Probe}
 	}
 	// One wire-param set drives both paths, so a local run and a -remote
 	// job resolve the same scenario.
 	p := daemon.LoadParams{
-		App: *app, Scheme: s.String(), Mix: classes, Arrivals: *arrivals,
+		App: *app, Scheme: s.String(), Mix: mix, Arrivals: *arrivals,
 		Rate: *rate, Clients: *clients, ThinkCycles: *think,
 		Requests: *requests, DurationCycles: *duration,
 		Shards: *shards, Workers: *workers, Budget: *budget,

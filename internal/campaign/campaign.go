@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/attack"
 	"repro/internal/rng"
@@ -221,31 +220,24 @@ func Run(ctx context.Context, cfg Config, run Runner) (*Aggregate, error) {
 // arrays (indexed by global replication number) — the shared core of Run
 // and RunShards.
 func runRange(ctx context.Context, cfg Config, lo, hi, workers int, run Runner, outcomes []*Outcome, infra []error) error {
-	// The running tally behind Config.Progress. Snapshots accumulate in
-	// wall-clock completion order under their own lock; the deterministic
-	// aggregate folded afterwards never reads from it.
-	var (
-		progMu sync.Mutex
-		prog   Progress
-	)
+	// The running tally behind Config.Progress, one callback per completed
+	// replication. Snapshots accumulate in wall-clock completion order; the
+	// deterministic aggregate folded afterwards never reads from it.
+	mt := workpool.NewMeter(cfg.Progress, 1, Progress{Requested: hi - lo})
 	tick := func(out *Outcome) {
-		if cfg.Progress == nil {
-			return
-		}
-		progMu.Lock()
-		prog.Requested = hi - lo
-		prog.Completed++
-		if out != nil {
-			if out.Success {
-				prog.Successes++
+		mt.Tick(func(p *Progress) {
+			p.Completed++
+			if out == nil {
+				return
 			}
-			prog.Trials += out.Trials
-			prog.Detections += out.Detections
-			prog.OracleCalls += out.OracleCalls
-			prog.Cycles += out.Cycles
-		}
-		cfg.Progress(prog)
-		progMu.Unlock()
+			if out.Success {
+				p.Successes++
+			}
+			p.Trials += out.Trials
+			p.Detections += out.Detections
+			p.OracleCalls += out.OracleCalls
+			p.Cycles += out.Cycles
+		})
 	}
 
 	// The pool handles cancellation and fatal-error semantics (see

@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/attack"
-	"repro/pssp"
+	"repro/internal/daemon"
 )
 
 // The weighted-spec grammar shared by the traffic-shaping CLI flags:
@@ -86,21 +86,22 @@ func allDigits(s string) bool {
 	return true
 }
 
-// ParseMix parses psspload's -mix grammar into facade request classes: each
-// item is either "benign" (the app's built-in request payload) or
-// "probe=NAME" with NAME a registered attack strategy. Strategy names are
-// validated here, at parse time, so a typo fails with the registry's
-// name listing instead of surfacing later from the load engine.
-func ParseMix(spec string) ([]pssp.RequestClass, error) {
+// ParseMix parses the -mix grammar of psspload and psspctl into the
+// loadtest job's wire classes: each item is either "benign" (the app's
+// built-in request payload) or "probe=NAME" with NAME a registered attack
+// strategy. Strategy names are validated here, at parse time, so a typo
+// fails with the registry's name listing instead of surfacing later from
+// the load engine.
+func ParseMix(spec string) ([]daemon.LoadClass, error) {
 	items, err := ParseWeighted(spec)
 	if err != nil {
 		return nil, fmt.Errorf("mix %s", err)
 	}
-	var mix []pssp.RequestClass
+	var mix []daemon.LoadClass
 	for _, it := range items {
 		switch {
 		case it.Name == "benign":
-			mix = append(mix, pssp.RequestClass{Name: "benign", Weight: it.Weight})
+			mix = append(mix, daemon.LoadClass{Name: "benign", Weight: it.Weight})
 		case strings.HasPrefix(it.Name, "probe="):
 			strat := strings.TrimPrefix(it.Name, "probe=")
 			if strat == "" {
@@ -109,12 +110,29 @@ func ParseMix(spec string) ([]pssp.RequestClass, error) {
 			if _, err := attack.StrategyByName(strat); err != nil {
 				return nil, fmt.Errorf("mix item %q: %w", it.Name, err)
 			}
-			mix = append(mix, pssp.RequestClass{Weight: it.Weight, Probe: strat})
+			mix = append(mix, daemon.LoadClass{Weight: it.Weight, Probe: strat})
 		default:
 			return nil, fmt.Errorf("mix item %q: class must be \"benign\" or \"probe=STRATEGY\"", it.Name)
 		}
 	}
 	return mix, nil
+}
+
+// ParseSweep parses the -sweep grammar of psspload and psspctl: a
+// comma-separated list of positive offered-load multipliers ("" = none).
+func ParseSweep(spec string) ([]float64, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	var out []float64
+	for _, s := range strings.Split(spec, ",") {
+		m, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || !(m > 0) {
+			return nil, fmt.Errorf("sweep multiplier %q: want a positive number", s)
+		}
+		out = append(out, m)
+	}
+	return out, nil
 }
 
 // ParseByteItems lowers a weighted spec into byte strings replicated by

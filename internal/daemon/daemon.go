@@ -390,19 +390,26 @@ func (d *Daemon) Do(ctx context.Context, tenantName, method string, params any, 
 		}
 		raw = b
 	}
-	t := d.tenantFor(tenantName)
-	run, err := d.jobFor(Request{Method: method, Params: raw}, t)
+	return d.execute(ctx, Request{Method: method, Params: raw, Tenant: tenantName}, callbackEvents(progress))
+}
+
+// execute runs one job request end to end — validation, admission,
+// execution streaming progress into ev, slot release with cost accounting
+// — and returns its result: the one path behind the wire and Do.
+func (d *Daemon) execute(ctx context.Context, req Request, ev *eventStream) (any, error) {
+	t := d.tenantFor(req.Tenant)
+	run, err := d.jobFor(req, t)
 	if err != nil {
 		return nil, err
 	}
-	ctx, tr := d.beginTrace(ctx, method)
+	ctx, tr := d.beginTrace(ctx, req.Method)
 	if err := d.admit(ctx, t); err != nil {
 		tr.Event("rejected", 0, err.Error())
 		d.countFinish(err)
 		return nil, err
 	}
 	tr.Event("admitted", 0, "")
-	result, cost, err := run(ctx, callbackEvents(progress))
+	result, cost, err := run(ctx, ev)
 	d.release(t, cost)
 	d.countFinish(err)
 	tr.Event("finish", cost, finishDetail(err))
@@ -577,29 +584,10 @@ func unmarshalParams(raw json.RawMessage, v any) error {
 	return nil
 }
 
-// dispatch runs one job request end to end: admission, execution with
-// progress streaming, the terminal response, slot release with cost
-// accounting.
+// dispatch runs one job request from a connection and writes its
+// terminal response.
 func (d *Daemon) dispatch(ctx context.Context, w *connWriter, req Request) {
-	t := d.tenantFor(req.Tenant)
-
-	run, err := d.jobFor(req, t)
-	if err != nil {
-		w.fail(req.ID, err)
-		return
-	}
-	ctx, tr := d.beginTrace(ctx, req.Method)
-	if err := d.admit(ctx, t); err != nil {
-		tr.Event("rejected", 0, err.Error())
-		d.countFinish(err)
-		w.fail(req.ID, err)
-		return
-	}
-	tr.Event("admitted", 0, "")
-	result, cost, err := run(ctx, newEventStream(w, req.ID))
-	d.release(t, cost)
-	d.countFinish(err)
-	tr.Event("finish", cost, finishDetail(err))
+	result, err := d.execute(ctx, req, newEventStream(w, req.ID))
 	if err != nil {
 		w.fail(req.ID, err)
 		return
@@ -607,11 +595,9 @@ func (d *Daemon) dispatch(ctx context.Context, w *connWriter, req Request) {
 	w.result(req.ID, result)
 }
 
-// eventStream throttles and serializes one job's progress events, onto a
-// connection (wire path) or into a callback (in-process path).
+// eventStream throttles one job's progress events into fn: a connection's
+// event lines (wire path) or the caller's callback (in-process path).
 type eventStream struct {
-	w  *connWriter
-	id uint64
 	fn func(ProgressEvent)
 
 	mu   sync.Mutex
@@ -623,8 +609,13 @@ type eventStream struct {
 // the right tool.
 const eventInterval = 100 * time.Millisecond
 
+// newEventStream streams request id's progress as event lines on w.
 func newEventStream(w *connWriter, id uint64) *eventStream {
-	return &eventStream{w: w, id: id}
+	return callbackEvents(func(ev ProgressEvent) {
+		if raw, err := json.Marshal(ev); err == nil {
+			w.send(Response{ID: id, Event: "progress", Result: raw})
+		}
+	})
 }
 
 // callbackEvents is the in-process eventStream (fn may be nil: discard).
@@ -634,6 +625,9 @@ func callbackEvents(fn func(ProgressEvent)) *eventStream {
 
 // progress emits ev unless the previous event was under eventInterval ago.
 func (s *eventStream) progress(ev ProgressEvent) {
+	if s.fn == nil {
+		return
+	}
 	s.mu.Lock()
 	now := time.Now()
 	if now.Sub(s.last) < eventInterval {
@@ -642,15 +636,5 @@ func (s *eventStream) progress(ev ProgressEvent) {
 	}
 	s.last = now
 	s.mu.Unlock()
-	if s.w == nil {
-		if s.fn != nil {
-			s.fn(ev)
-		}
-		return
-	}
-	raw, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	s.w.send(Response{ID: s.id, Event: "progress", Result: raw})
+	s.fn(ev)
 }

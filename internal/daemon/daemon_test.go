@@ -237,14 +237,17 @@ func TestPoolLRUEviction(t *testing.T) {
 	}
 }
 
-// cancelOnFirstWrite cancels a context the first time a progress line is
-// emitted, so cancellation lands deterministically mid-campaign.
-type cancelOnFirstWrite struct {
+// cancelOnWrite cancels a context when the n'th progress line is emitted,
+// so cancellation lands mid-job by construction.
+type cancelOnWrite struct {
+	n      int
 	cancel context.CancelFunc
 }
 
-func (w *cancelOnFirstWrite) Write(p []byte) (int, error) {
-	w.cancel()
+func (w *cancelOnWrite) Write(p []byte) (int, error) {
+	if w.n--; w.n == 0 {
+		w.cancel()
+	}
 	return len(p), nil
 }
 
@@ -266,7 +269,7 @@ func TestCancelMidCampaignReturnsPartialAndPoolStaysHealthy(t *testing.T) {
 	defer cancel()
 	// The campaign emits its first progress event after replication 1; the
 	// event write cancels the job, so it stops mid-campaign by construction.
-	ev := newEventStream(&connWriter{enc: json.NewEncoder(&cancelOnFirstWrite{cancel: cancel})}, 1)
+	ev := newEventStream(&connWriter{enc: json.NewEncoder(&cancelOnWrite{n: 1, cancel: cancel})}, 1)
 	result, cost, err := run(ctx, ev)
 	if err != nil {
 		t.Fatalf("canceled campaign should return a partial result, got error %v", err)
@@ -430,5 +433,117 @@ func TestShardJobRejections(t *testing.T) {
 	reject("sweep", "loadshard", LoadShardParams{LoadParams: LoadParams{Seed: 3, Sweep: []float64{1, 2}}, Lo: 0, Hi: 1})
 	if n := d.met.admitted.Load(); n != 0 {
 		t.Errorf("%d rejected shard job(s) were admitted", n)
+	}
+}
+
+// TestCancelMidJobReturnsFlaggedPartial: a whole loadtest, sweep or fuzz
+// job canceled mid-run answers with a report flagged Canceled that holds
+// the work done so far, and charges its cycles. Whole jobs run through the
+// engines' RunShards, so this pins that an interrupted range returns its
+// partials with the error.
+func TestCancelMidJobReturnsFlaggedPartial(t *testing.T) {
+	d := New(Config{})
+	defer d.Shutdown(context.Background())
+	d.mu.Lock()
+	ten := d.tenantFor("t")
+	d.mu.Unlock()
+	jobs := []struct {
+		name, method string
+		params       any
+		// cancelAt is the progress line that cancels the job.
+		cancelAt int
+		// worked reports the partial's work.
+		worked func(any) int
+	}{
+		{"loadtest", "loadtest", LoadParams{App: "nginx-vuln", Scheme: "ssp", Requests: 100000, Shards: 1, Workers: 1, Seed: 9}, 1,
+			func(r any) int { return r.(LoadResult).Report.Requests }},
+		// The first point serves 32 requests and emits one line, at its
+		// shard's completion; the second point runs until its first line
+		// clears the event throttle, and is canceled there.
+		{"sweep", "loadtest", LoadParams{App: "nginx-vuln", Scheme: "ssp", Arrivals: "uniform", Rate: 32, DurationCycles: 1_000_000,
+			Shards: 1, Workers: 1, Sweep: []float64{1, 10000}, Seed: 9}, 2,
+			func(r any) int {
+				sw := r.(LoadResult).Sweep
+				if len(sw.Points) != 1 {
+					return 0
+				}
+				return sw.Points[0].Report.Requests
+			}},
+		{"fuzz", "fuzz", FuzzParams{Scheme: "ssp", Execs: 100000, Shards: 1, Workers: 1, Seed: 9}, 1,
+			func(r any) int { return r.(FuzzResult).Execs }},
+	}
+	for _, j := range jobs {
+		params, _ := json.Marshal(j.params)
+		run, err := d.jobFor(Request{Method: j.method, Params: params}, ten)
+		if err != nil {
+			t.Fatalf("%s: jobFor: %v", j.name, err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		ev := newEventStream(&connWriter{enc: json.NewEncoder(&cancelOnWrite{n: j.cancelAt, cancel: cancel})}, 1)
+		result, cost, err := run(ctx, ev)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: canceled job should return a partial result, got error %v", j.name, err)
+		}
+		canceled := false
+		switch r := result.(type) {
+		case LoadResult:
+			canceled = r.Canceled
+		case FuzzResult:
+			canceled = r.Canceled
+		}
+		if !canceled {
+			t.Errorf("%s: partial report not flagged canceled", j.name)
+		}
+		if j.worked(result) == 0 {
+			t.Errorf("%s: canceled report holds no work: %+v", j.name, result)
+		}
+		if cost == 0 {
+			t.Errorf("%s: partial job charged no cycles", j.name)
+		}
+	}
+}
+
+// TestWholeJobChargesShardCharges: for each engine kind, a whole job
+// charges its tenant exactly the sum of what shard jobs covering the same
+// range charge — whole jobs run the shard jobs' range run, so there is one
+// charge rule.
+func TestWholeJobChargesShardCharges(t *testing.T) {
+	d := New(Config{})
+	defer d.Shutdown(context.Background())
+	used := func(tenant string) uint64 {
+		for _, ts := range d.Stats().Tenants {
+			if ts.Name == tenant {
+				return ts.CyclesUsed
+			}
+		}
+		return 0
+	}
+	attack := AttackParams{Scheme: "ssp", Budget: 256, Repeats: 3, Workers: 1, Seed: 5}
+	load := LoadParams{App: "nginx-vuln", Scheme: "ssp", Requests: 24, Shards: 3, Workers: 1, Seed: 5}
+	fuzz := FuzzParams{Scheme: "ssp", Execs: 48, Shards: 3, Workers: 1, Seed: 5}
+	kinds := []struct {
+		whole, shard string
+		params       any
+		rng          func(lo, hi int) any
+	}{
+		{"attack", "campaignshard", attack, func(lo, hi int) any { return CampaignShardParams{AttackParams: attack, Lo: lo, Hi: hi} }},
+		{"loadtest", "loadshard", load, func(lo, hi int) any { return LoadShardParams{LoadParams: load, Lo: lo, Hi: hi} }},
+		{"fuzz", "fuzzshard", fuzz, func(lo, hi int) any { return FuzzShardParams{FuzzParams: fuzz, Lo: lo, Hi: hi} }},
+	}
+	ctx := context.Background()
+	for _, k := range kinds {
+		if _, err := d.Do(ctx, "whole-"+k.whole, k.whole, k.params, nil); err != nil {
+			t.Fatalf("%s: %v", k.whole, err)
+		}
+		for _, r := range [][2]int{{0, 1}, {1, 3}} {
+			if _, err := d.Do(ctx, "shard-"+k.whole, k.shard, k.rng(r[0], r[1]), nil); err != nil {
+				t.Fatalf("%s [%d,%d): %v", k.shard, r[0], r[1], err)
+			}
+		}
+		whole, shards := used("whole-"+k.whole), used("shard-"+k.whole)
+		if whole == 0 || whole != shards {
+			t.Errorf("%s: whole job charged %d cycles, its shard jobs %d", k.whole, whole, shards)
+		}
 	}
 }

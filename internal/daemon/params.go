@@ -3,8 +3,8 @@ package daemon
 import "repro/pssp"
 
 // Wire-param normalization and the one params→facade-config mapping per job
-// kind, shared by the whole-job handlers, the shard handler, the fabric
-// coordinator's plans and the CLIs' local paths. A coordinator plans a job
+// kind, shared by the per-kind plans (plan.go) and range runs (shards.go)
+// and the CLIs' local paths. A coordinator plans a job
 // from the same normalized params a worker executes a lease from, so the
 // two resolve the same scenario by construction — the defaults here are
 // psspattack/psspload/psspfuzz's flag defaults, which is what keeps daemon

@@ -1,0 +1,157 @@
+package daemon
+
+import (
+	"context"
+
+	"repro/internal/loadgen"
+	"repro/pssp"
+)
+
+// Plan is one engine job resolved from normalized wire params at an
+// explicit seed — the one job shape, plan → run shard ranges → merge,
+// whatever runs the ranges. A daemon whole job runs [0, Shards) in process
+// through its shard jobs' range run; the fabric coordinator leases ranges
+// to workers as Method requests. Both fold with Merge, so their reports
+// agree byte for byte.
+type Plan[S, R, Rep any] struct {
+	// Method is the shard method a range runs as.
+	Method string
+	// Shards is the job's shard (replication) count.
+	Shards int
+	// Range returns the wire params of shards [lo, hi).
+	Range func(lo, hi int) S
+	// Merge folds range results, in any order and duplicates allowed, into
+	// the job's report.
+	Merge func([]R) (Rep, error)
+}
+
+// The plan of each engine job kind.
+type (
+	AttackPlan    = Plan[CampaignShardParams, CampaignShardResult, AttackReport]
+	LoadPointPlan = Plan[LoadShardParams, LoadShardResult, *pssp.LoadReport]
+	FuzzPlan      = Plan[FuzzShardParams, FuzzShardResult, *pssp.FuzzReport]
+)
+
+// PlanAttack resolves the campaign of normalized params p (explicit seed)
+// on m. Its merge is the one place a campaign that completed no
+// replication fails with its first oracle infrastructure error.
+func PlanAttack(m *pssp.Machine, p AttackParams) (AttackPlan, error) {
+	s, err := parseScheme(p.Scheme)
+	if err != nil {
+		return AttackPlan{}, err
+	}
+	plan, err := m.CampaignPlan(p.CampaignConfig(p.Seed))
+	if err != nil {
+		return AttackPlan{}, err
+	}
+	return AttackPlan{
+		Method: "campaignshard",
+		Shards: plan.Replications,
+		Range: func(lo, hi int) CampaignShardParams {
+			return CampaignShardParams{AttackParams: p, Lo: lo, Hi: hi}
+		},
+		Merge: func(rs []CampaignShardResult) (AttackReport, error) {
+			parts := make([]*pssp.CampaignPartial, len(rs))
+			for i, r := range rs {
+				parts[i] = r.Partial
+			}
+			agg := pssp.MergeCampaignPartials(plan, parts)
+			if agg.Completed == 0 && agg.OracleErr != nil {
+				return AttackReport{}, agg.OracleErr
+			}
+			return BuildAttackReport(p.Target, s, p.Seed, p.Budget, p.Repeats, p.Workers, agg), nil
+		},
+	}, nil
+}
+
+// RunLoad runs the load job of normalized params p (explicit seed) against
+// img: one workload, or a sweep of scaled points through the one sweep
+// loop. run is the transport's range runner; it executes each point's plan.
+// On error the result holds what completed.
+func RunLoad(ctx context.Context, m *pssp.Machine, img *pssp.Image, p LoadParams,
+	run func(context.Context, LoadPointPlan) (*pssp.LoadReport, error)) (LoadResult, error) {
+	cfg, err := LoadWorkload(p, "", p.Seed)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	base, err := m.LoadPlan(img, cfg)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	// point plans one scenario: each range ships the point's label and
+	// scaled arrival knobs, so a lease resolves exactly this scenario.
+	point := func(ctx context.Context, sc pssp.LoadPlan) (*pssp.LoadReport, error) {
+		norm, err := sc.Normalize()
+		if err != nil {
+			return nil, err
+		}
+		sp := LoadShardParams{LoadParams: p, Label: sc.Label}
+		sp.Sweep, sp.Rate, sp.Clients = nil, sc.Arrivals.RatePerMcycle, sc.Arrivals.Clients
+		return run(ctx, LoadPointPlan{
+			Method: "loadshard",
+			Shards: norm.Shards,
+			Range: func(lo, hi int) LoadShardParams {
+				lp := sp
+				lp.Lo, lp.Hi = lo, hi
+				return lp
+			},
+			Merge: func(rs []LoadShardResult) (*pssp.LoadReport, error) {
+				var parts []*pssp.LoadPartial
+				for _, r := range rs {
+					parts = append(parts, r.Partials...)
+				}
+				return pssp.MergeLoadPartials(sc, parts)
+			},
+		})
+	}
+	if len(p.Sweep) == 0 {
+		rep, err := point(ctx, base)
+		return LoadResult{Report: rep}, err
+	}
+	sw, err := loadgen.RunSweep(ctx, base, p.Sweep, point)
+	return LoadResult{Sweep: sw}, err
+}
+
+// PlanFuzz resolves the fuzzing run sp describes — its explicit seed, seed
+// corpus, label and base frontier; its range is ignored — against img.
+// Every range ships the resolved seed corpus and label, so workers mutate
+// from exactly the seeds the plan resolved.
+func PlanFuzz(m *pssp.Machine, img *pssp.Image, sp FuzzShardParams) (FuzzPlan, error) {
+	cfg := sp.FuzzConfig(sp.Seed)
+	cfg.Label, cfg.BaseVirgin = sp.Label, sp.BaseVirgin
+	plan, err := m.FuzzPlan(img, cfg)
+	if err != nil {
+		return FuzzPlan{}, err
+	}
+	sp.Seeds, sp.Label = plan.Seeds, plan.Label
+	return FuzzPlan{
+		Method: "fuzzshard",
+		Shards: plan.Shards,
+		Range: func(lo, hi int) FuzzShardParams {
+			fp := sp
+			fp.Lo, fp.Hi = lo, hi
+			return fp
+		},
+		Merge: func(rs []FuzzShardResult) (*pssp.FuzzReport, error) {
+			var parts []*pssp.FuzzPartial
+			for _, r := range rs {
+				parts = append(parts, r.Partials...)
+			}
+			return pssp.MergeFuzzPartials(plan, parts)
+		},
+	}, nil
+}
+
+// runRange is the in-process range runner: it runs a plan's whole range
+// [0, Shards) through body — the run its shard jobs use — and merges. The
+// run's error wins over the merge's, and a canceled run still returns the
+// report of the work it did.
+func runRange[S, R, Rep any](ctx context.Context, e engineEnv, pl Plan[S, R, Rep],
+	body func(context.Context, engineEnv, S) (R, uint64, error)) (Rep, uint64, error) {
+	res, cost, err := body(ctx, e, pl.Range(0, pl.Shards))
+	rep, mErr := pl.Merge([]R{res})
+	if err == nil {
+		err = mErr
+	}
+	return rep, cost, err
+}

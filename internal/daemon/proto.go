@@ -308,9 +308,9 @@ type AttackOutcome struct {
 }
 
 // BuildAttackReport folds a campaign aggregate into the report shape. Both
-// psspattack's local path and the daemon's attack job call it, which is
-// what makes local and remote -json output byte-identical for a fixed
-// seed.
+// psspattack's local path and the attack plan's merge (daemon and fabric
+// jobs) call it, which is what makes local, remote and distributed -json
+// output byte-identical for a fixed seed.
 func BuildAttackReport(target string, scheme pssp.Scheme, seed uint64, budget, repeats, workers int, res *pssp.CampaignResult) AttackReport {
 	rep := AttackReport{
 		Target: target, Scheme: scheme.String(), Strategy: res.Label,

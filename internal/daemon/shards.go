@@ -2,28 +2,39 @@ package daemon
 
 import (
 	"context"
+	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/pssp"
 )
 
-// Shard jobs are the fabric worker's side of a lease: the coordinator
-// resolves a job once, partitions its shard range, and sends each lease as
-// a campaignshard/loadshard/fuzzshard request over the flipped worker
-// connection. A lease normalizes its params exactly as the whole job does
-// — the scenario it executes must be the one the coordinator planned — but
-// runs only [Lo, Hi) and returns wire partials instead of a rendered
-// report.
+// Engine jobs — attack, loadtest and fuzz — come whole or as a shard range
+// (campaignshard, loadshard, fuzzshard): the fabric worker's side of a
+// lease. Both normalize their params the same way and run ranges through
+// the same per-kind range run; a whole job resolves its seed, plans
+// (plan.go), runs the full range [0, N) in process, and merges, while a
+// shard job runs only [Lo, Hi) and returns wire partials for the
+// coordinator's merge.
 //
 // Shard jobs require an explicit non-zero Seed: a derived seed would be
 // drawn per request, so a lost lease re-issued to another worker would run
 // a different scenario and the fabric's bit-identical merge would break.
 
-// shardJob is the one handler behind the three shard methods. It does the
-// shared steps — decode and normalize the params, parse the scheme, check
-// the seed and the range — before admission, and leaves only the run to the
-// kind.
-func (d *Daemon) shardJob(req Request, t *tenant) (jobRun, error) {
+// engineJobFor is the one handler behind the six engine methods (any other
+// method is a bad request). It does the shared steps — decode and
+// normalize the params, parse the scheme, and for shard jobs check the seed
+// and the range — before admission, and leaves only the run to the kind.
+func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
+	whole := !strings.HasSuffix(req.Method, "shard")
+	// decode reads a whole job's params into its embedded params and a
+	// shard job's into the full shard params.
+	decode := func(wholeDst, shardDst any) error {
+		if whole {
+			return unmarshalParams(req.Params, wholeDst)
+		}
+		return unmarshalParams(req.Params, shardDst)
+	}
 	var (
 		app, scheme string
 		seed        uint64
@@ -31,35 +42,37 @@ func (d *Daemon) shardJob(req Request, t *tenant) (jobRun, error) {
 		run         engineRun
 	)
 	switch req.Method {
-	case "campaignshard":
+	case "attack", "campaignshard":
 		var p CampaignShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
+		if err := decode(&p.AttackParams, &p); err != nil {
 			return nil, err
 		}
 		p.AttackParams = NormalizeAttackParams(p.AttackParams)
 		app, scheme, seed, lo, hi = p.Target, p.Scheme, p.Seed, p.Lo, p.Hi
 		run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
-			cfg := p.CampaignConfig(e.seed)
-			cfg.Progress = func(cp pssp.CampaignProgress) {
-				e.ev.progress(ProgressEvent{Kind: "attack", Campaign: &cp})
-			}
-			part, err := e.m.CampaignShards(ctx, e.img, cfg, p.Lo, p.Hi)
-			var cost uint64
-			if part != nil {
-				for _, out := range part.Outcomes {
-					cost += out.Cycles
-				}
-			}
-			return CampaignShardResult{Partial: part}, cost, err
+			return campaignRange(ctx, e, p)
 		}
-	case "loadshard":
+		if whole {
+			run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
+				ap := p.AttackParams
+				ap.Seed = e.seed
+				pl, err := PlanAttack(e.m, ap)
+				if err != nil {
+					return nil, 0, err
+				}
+				rep, cost, err := runRange(ctx, e, pl, campaignRange)
+				rep.Canceled = err != nil
+				return finish(rep, rep.Completed > 0, cost, err)
+			}
+		}
+	case "loadtest", "loadshard":
 		var p LoadShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
+		if err := decode(&p.LoadParams, &p); err != nil {
 			return nil, err
 		}
-		// Sweeps are coordinator-side: each sweep point is scaled and leased
-		// as its own single-workload shard job.
-		if len(p.Sweep) > 0 {
+		// Sweeps are planned whole: each sweep point is scaled and run (or
+		// leased) as its own single-workload range.
+		if !whole && len(p.Sweep) > 0 {
 			return nil, badRequest("loadshard takes a single workload; the coordinator scales sweep points itself")
 		}
 		p.LoadParams = NormalizeLoadParams(p.LoadParams)
@@ -68,83 +81,143 @@ func (d *Daemon) shardJob(req Request, t *tenant) (jobRun, error) {
 		}
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
 		run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
-			cfg, err := LoadWorkload(p.LoadParams, p.Label, e.seed)
-			if err != nil {
-				return nil, 0, err
-			}
-			cfg.Progress = func(lp pssp.LoadProgress) {
-				e.ev.progress(ProgressEvent{Kind: "loadtest", Load: &lp})
-			}
-			parts, err := e.m.LoadShards(ctx, e.img, cfg, p.Lo, p.Hi)
-			var cost uint64
-			for _, part := range parts {
-				cost += part.Makespan
-			}
-			return LoadShardResult{Partials: parts}, cost, err
+			return loadRange(ctx, e, p)
 		}
-	case "fuzzshard":
+		if whole {
+			run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
+				lp := p.LoadParams
+				lp.Seed = e.seed
+				var cost uint64
+				res, err := RunLoad(ctx, e.m, e.img, lp, func(ctx context.Context, pl LoadPointPlan) (*pssp.LoadReport, error) {
+					rep, c, err := runRange(ctx, e, pl, loadRange)
+					cost += c
+					return rep, err
+				})
+				res.Canceled = err != nil
+				worked := res.Report != nil && res.Report.Requests > 0 || res.Sweep != nil && len(res.Sweep.Points) > 0
+				return finish(res, worked, cost, err)
+			}
+		}
+	case "fuzz", "fuzzshard":
 		var p FuzzShardParams
-		if err := unmarshalParams(req.Params, &p); err != nil {
+		if err := decode(&p.FuzzParams, &p); err != nil {
 			return nil, err
 		}
 		p.FuzzParams = NormalizeFuzzParams(p.FuzzParams)
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
 		run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
-			return fuzzShard(ctx, e, p)
+			return fuzzRange(ctx, e, p)
+		}
+		if whole {
+			run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
+				sp := p
+				sp.Seed = e.seed
+				pl, err := PlanFuzz(e.m, e.img, sp)
+				if err != nil {
+					return nil, 0, err
+				}
+				rep, cost, err := runRange(ctx, e, pl, fuzzRange)
+				return finish(FuzzResult{FuzzReport: rep, Canceled: err != nil}, rep != nil && rep.Execs > 0, cost, err)
+			}
 		}
 	default:
-		return nil, badRequest("unknown shard method %q", req.Method)
+		return nil, badRequest("unknown method %q", req.Method)
 	}
 	s, err := parseScheme(scheme)
 	if err != nil {
 		return nil, err
 	}
-	if seed == 0 {
-		return nil, badRequest("shard jobs require an explicit non-zero seed (derived seeds are not lease-stable)")
-	}
-	// Upper bounds are checked downstream against the resolved scenario.
-	if lo < 0 || hi <= lo {
-		return nil, badRequest("bad shard range [%d,%d)", lo, hi)
+	if !whole {
+		if seed == 0 {
+			return nil, badRequest("shard jobs require an explicit non-zero seed (derived seeds are not lease-stable)")
+		}
+		// Upper bounds are checked downstream against the resolved scenario.
+		if lo < 0 || hi <= lo {
+			return nil, badRequest("bad shard range [%d,%d)", lo, hi)
+		}
 	}
 	return d.engineJob(app, s, t, seed, run), nil
 }
 
-// fuzzShard runs fuzzing shards [Lo, Hi). BaseVirgin carries the
-// coordinator's merged coverage frontier into every shard (the distributed
-// frontier-sync path); CorpusDir, when set, flock-merges the lease's
-// discoveries into a shared persistent corpus before the result ships.
-func fuzzShard(ctx context.Context, e engineEnv, p FuzzShardParams) (any, uint64, error) {
-	cfg := p.FuzzConfig(e.seed)
+// campaignRange runs replications [Lo, Hi) of the campaign p describes.
+// Its charge is the victim cycles of the completed replications.
+func campaignRange(ctx context.Context, e engineEnv, p CampaignShardParams) (CampaignShardResult, uint64, error) {
+	tr := obs.TraceFrom(ctx)
+	cfg := p.CampaignConfig(p.Seed)
+	cfg.Progress = func(cp pssp.CampaignProgress) {
+		tr.Event("campaign progress", cp.Cycles, "")
+		e.ev.progress(ProgressEvent{Kind: "attack", Campaign: &cp})
+	}
+	part, err := e.m.CampaignShards(ctx, e.img, cfg, p.Lo, p.Hi)
+	var cost uint64
+	if part != nil {
+		for _, out := range part.Outcomes {
+			cost += out.Cycles
+		}
+	}
+	return CampaignShardResult{Partial: part}, cost, err
+}
+
+// loadRange runs workload shards [Lo, Hi) of the scenario p describes. Its
+// charge is the shards' virtual makespans: each shard is one victim
+// machine, busy until its last completion.
+func loadRange(ctx context.Context, e engineEnv, p LoadShardParams) (LoadShardResult, uint64, error) {
+	cfg, err := LoadWorkload(p.LoadParams, p.Label, p.Seed)
+	if err != nil {
+		return LoadShardResult{}, 0, err
+	}
+	tr := obs.TraceFrom(ctx)
+	cfg.Progress = func(lp pssp.LoadProgress) {
+		tr.Event("load progress", lp.P99Cycles, "")
+		e.ev.progress(ProgressEvent{Kind: "loadtest", Load: &lp})
+	}
+	parts, err := e.m.LoadShards(ctx, e.img, cfg, p.Lo, p.Hi)
+	var cost uint64
+	for _, part := range parts {
+		cost += part.Makespan
+	}
+	return LoadShardResult{Partials: parts}, cost, err
+}
+
+// fuzzRange runs fuzzing shards [Lo, Hi) of the run p describes; its charge
+// is their victim cycles. BaseVirgin carries the coordinator's merged
+// coverage frontier into every shard (the distributed frontier-sync path);
+// CorpusDir, when set, flock-merges the range's discoveries into a shared
+// persistent corpus before the result ships.
+func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardResult, uint64, error) {
+	tr := obs.TraceFrom(ctx)
+	cfg := p.FuzzConfig(p.Seed)
 	cfg.Label, cfg.BaseVirgin = p.Label, p.BaseVirgin
 	cfg.Progress = func(fp pssp.FuzzProgress) {
+		tr.Event("fuzz progress", 0, "")
 		e.ev.progress(ProgressEvent{Kind: "fuzz", Fuzz: &fp})
 	}
 	parts, err := e.m.FuzzShards(ctx, e.img, cfg, p.Lo, p.Hi)
+	res := FuzzShardResult{Partials: parts}
 	var cost uint64
 	for _, part := range parts {
 		cost += part.Cycles
 	}
 	if err != nil || p.CorpusDir == "" {
-		return FuzzShardResult{Partials: parts}, cost, err
+		return res, cost, err
 	}
-	// Fold only this lease's shards into a subset report to harvest its
+	// Fold only this range's shards into a subset report to harvest its
 	// corpus inputs and frontier; content-hash dedup makes the flock'd
 	// merge idempotent across re-issued leases.
-	res := FuzzShardResult{Partials: parts}
-	plan, err := e.m.FuzzPlan(e.img, cfg)
+	pl, err := PlanFuzz(e.m, e.img, p)
 	if err != nil {
-		return nil, cost, err
+		return res, cost, err
 	}
-	sub, err := pssp.MergeFuzzPartials(plan, parts)
+	sub, err := pl.Merge([]FuzzShardResult{res})
 	if err != nil {
-		return nil, cost, err
+		return res, cost, err
 	}
 	corp, err := store.OpenCorpus(p.CorpusDir)
 	if err != nil {
-		return nil, cost, err
+		return res, cost, err
 	}
 	if res.CorpusAdded, err = corp.Add(sub.CorpusInputs()); err != nil {
-		return nil, cost, err
+		return res, cost, err
 	}
 	return res, cost, corp.SaveFrontier(sub.Frontier())
 }

@@ -1,14 +1,19 @@
 package fabric
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/daemon"
+	"repro/internal/fuzz"
+	"repro/internal/loadgen"
 	"repro/pssp"
 )
 
@@ -232,6 +237,54 @@ func TestFatalWorkerErrorFailsJob(t *testing.T) {
 	}
 	if st := c.Stats(); st.LeasesReassigned != 0 {
 		t.Errorf("fatal error was retried: %d reassignments", st.LeasesReassigned)
+	}
+}
+
+// malformedWorker attaches an in-process worker that answers every
+// loadshard and fuzzshard lease with a partial of the wrong shape: no
+// latency classes, and a one-byte virgin map.
+func malformedWorker(t *testing.T, c *Coordinator) {
+	t.Helper()
+	coordEnd, workerEnd := net.Pipe()
+	t.Cleanup(func() { workerEnd.Close() })
+	c.AttachConn(coordEnd, "malformed")
+	go func() {
+		sc := bufio.NewScanner(workerEnd)
+		enc := json.NewEncoder(workerEnd)
+		for sc.Scan() {
+			var req struct {
+				ID     uint64
+				Method string
+				Params struct{ Lo int }
+			}
+			if json.Unmarshal(sc.Bytes(), &req) != nil {
+				return
+			}
+			result := fmt.Sprintf(`{"partials":[{"shard":%d,"classes":[]}]}`, req.Params.Lo)
+			if req.Method == "fuzzshard" {
+				result = fmt.Sprintf(`{"partials":[{"shard":%d,"virgin":"AA=="}]}`, req.Params.Lo)
+			}
+			if enc.Encode(daemon.Response{ID: req.ID, Result: json.RawMessage(result)}) != nil {
+				return
+			}
+		}
+	}()
+}
+
+// TestMalformedPartialFailsJob: a worker's partial crosses a trust
+// boundary — a partial that does not fit the plan fails the job with the
+// engine's typed error instead of panicking the coordinator's merge.
+func TestMalformedPartialFailsJob(t *testing.T) {
+	c := New(Config{})
+	t.Cleanup(c.Close)
+	malformedWorker(t, c)
+	_, err := c.LoadTest(context.Background(), daemon.LoadParams{App: "nginx", Requests: 8, Shards: 2, Seed: 3})
+	if !errors.Is(err, loadgen.ErrMalformedPartial) {
+		t.Errorf("loadtest with short-classes partials: err = %v, want loadgen.ErrMalformedPartial", err)
+	}
+	_, err = c.Fuzz(context.Background(), daemon.FuzzParams{Execs: 8, Shards: 2, Seed: 3}, "")
+	if !errors.Is(err, fuzz.ErrMalformedPartial) {
+		t.Errorf("fuzz with short-virgin partials: err = %v, want fuzz.ErrMalformedPartial", err)
 	}
 }
 

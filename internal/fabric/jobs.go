@@ -3,10 +3,8 @@ package fabric
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"repro/internal/daemon"
-	"repro/internal/loadgen"
 	"repro/internal/store"
 	"repro/pssp"
 )
@@ -15,29 +13,27 @@ import (
 // and require an explicit non-zero Seed: a lease must be re-executable
 // bit-identically on any worker, which a derived per-job seed is not.
 //
-// The coordinator resolves each job's engine plan itself (via the facade's
-// plan methods and the daemon's params→config mapping, the same resolution
-// path workers run), leases shard ranges of that plan through leaseAll, and
-// folds the returned partials with the engines' own merge code — so the
-// reports here are byte-identical to psspattack/psspload/psspfuzz at the
-// same seed.
+// The coordinator plans each job with the daemon's per-kind plan (the one a
+// whole daemon job runs in process), leases the plan's shard ranges through
+// leaseAll, and folds the results with the plan's merge — so the reports
+// here are byte-identical to psspattack/psspload/psspfuzz at the same seed.
 
 var errSeed = errors.New("fabric: jobs require an explicit non-zero seed")
 
 // machineFor builds the coordinator's local planning machine for a job with
 // normalized params.
-func machineFor(scheme string, seed uint64) (*pssp.Machine, pssp.Scheme, error) {
+func machineFor(scheme string, seed uint64) (*pssp.Machine, error) {
 	s, err := pssp.ParseScheme(scheme)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return pssp.NewMachine(pssp.WithSeed(seed), pssp.WithScheme(s)), s, nil
+	return pssp.NewMachine(pssp.WithSeed(seed), pssp.WithScheme(s)), nil
 }
 
 // planImage builds the planning machine plus the compiled image a load or
 // fuzz plan resolves against.
 func planImage(app, scheme string, seed uint64) (*pssp.Machine, *pssp.Image, error) {
-	m, _, err := machineFor(scheme, seed)
+	m, err := machineFor(scheme, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -52,65 +48,35 @@ func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (*dae
 	if p.Seed == 0 {
 		return nil, errSeed
 	}
-	m, s, err := machineFor(p.Scheme, p.Seed)
+	m, err := machineFor(p.Scheme, p.Seed)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := m.CampaignPlan(p.CampaignConfig(p.Seed))
+	pl, err := daemon.PlanAttack(m, p)
 	if err != nil {
 		return nil, err
 	}
-	parts, err := leaseAll(ctx, c, "campaign", "campaignshard", plan.Replications,
-		func(lo, hi int) any { return daemon.CampaignShardParams{AttackParams: p, Lo: lo, Hi: hi} },
-		func(r daemon.CampaignShardResult) []*pssp.CampaignPartial { return []*pssp.CampaignPartial{r.Partial} })
+	rep, err := leaseAll(ctx, c, "campaign", pl)
 	if err != nil {
 		return nil, err
 	}
-	agg := pssp.MergeCampaignPartials(plan, parts)
-	if agg.Completed == 0 && agg.OracleErr != nil {
-		return nil, agg.OracleErr
-	}
-	rep := daemon.BuildAttackReport(p.Target, s, p.Seed, p.Budget, p.Repeats, p.Workers, agg)
 	return &rep, nil
 }
 
-// loadPlan normalizes p and resolves its coordinator-side workload plan.
-func loadPlan(p daemon.LoadParams) (daemon.LoadParams, pssp.LoadPlan, error) {
+// load runs a load job — one workload or a sweep — leasing every point's
+// shards across the workers.
+func (c *Coordinator) load(ctx context.Context, p daemon.LoadParams) (daemon.LoadResult, error) {
 	p = daemon.NormalizeLoadParams(p)
 	if p.Seed == 0 {
-		return p, pssp.LoadPlan{}, errSeed
+		return daemon.LoadResult{}, errSeed
 	}
 	m, img, err := planImage(p.App, p.Scheme, p.Seed)
 	if err != nil {
-		return p, pssp.LoadPlan{}, err
+		return daemon.LoadResult{}, err
 	}
-	cfg, err := daemon.LoadWorkload(p, "", p.Seed)
-	if err != nil {
-		return p, pssp.LoadPlan{}, err
-	}
-	plan, err := m.LoadPlan(img, cfg)
-	return p, plan, err
-}
-
-// runLoadPoint leases one (possibly sweep-scaled) workload's shards and
-// merges them. plan is the resolved-unnormalized scenario of the point;
-// the shipped params carry the point's label and scaled arrival knobs.
-func (c *Coordinator) runLoadPoint(ctx context.Context, p daemon.LoadParams, plan pssp.LoadPlan) (*pssp.LoadReport, error) {
-	norm, err := plan.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	sp := daemon.LoadShardParams{LoadParams: p, Label: plan.Label}
-	sp.Sweep = nil
-	sp.Rate = plan.Arrivals.RatePerMcycle
-	sp.Clients = plan.Arrivals.Clients
-	parts, err := leaseAll(ctx, c, "loadtest", "loadshard", norm.Shards,
-		func(lo, hi int) any { lp := sp; lp.Lo, lp.Hi = lo, hi; return lp },
-		func(r daemon.LoadShardResult) []*pssp.LoadPartial { return r.Partials })
-	if err != nil {
-		return nil, err
-	}
-	return pssp.MergeLoadPartials(plan, parts)
+	return daemon.RunLoad(ctx, m, img, p, func(ctx context.Context, pl daemon.LoadPointPlan) (*pssp.LoadReport, error) {
+		return leaseAll(ctx, c, "loadtest", pl)
+	})
 }
 
 // LoadTest fans one workload's shards out across the workers and returns
@@ -119,40 +85,20 @@ func (c *Coordinator) LoadTest(ctx context.Context, p daemon.LoadParams) (*pssp.
 	if len(p.Sweep) > 0 {
 		return nil, errors.New("fabric: LoadTest takes a single workload; use LoadSweep")
 	}
-	p, plan, err := loadPlan(p)
-	if err != nil {
-		return nil, err
-	}
-	return c.runLoadPoint(ctx, p, plan)
+	res, err := c.load(ctx, p)
+	return res.Report, err
 }
 
 // LoadSweep steps the scenario through p.Sweep's offered-load multipliers
 // (each point leased across the workers) and locates the saturation knee —
-// the exact report psspload -sweep -json emits.
+// the exact report psspload -sweep -json emits. On error the points
+// completed so far are returned with it.
 func (c *Coordinator) LoadSweep(ctx context.Context, p daemon.LoadParams) (*pssp.LoadSweepReport, error) {
 	if len(p.Sweep) == 0 {
 		return nil, errors.New("fabric: sweep needs at least one multiplier")
 	}
-	p, base, err := loadPlan(p)
-	if err != nil {
-		return nil, err
-	}
-	sw := &pssp.LoadSweepReport{Label: base.Label}
-	for _, m := range p.Sweep {
-		if !(m > 0) {
-			return sw, fmt.Errorf("fabric: non-positive sweep multiplier %g", m)
-		}
-		rep, err := c.runLoadPoint(ctx, p, loadgen.Scale(base, m))
-		if err != nil {
-			return sw, err
-		}
-		sw.Points = append(sw.Points, pssp.LoadSweepPoint{Multiplier: m, Report: rep})
-		if base.Arrivals.Kind != loadgen.ClosedLoop &&
-			rep.Efficiency() >= loadgen.KneeEfficiency && m > sw.KneeMultiplier {
-			sw.KneeMultiplier = m
-		}
-	}
-	return sw, nil
+	res, err := c.load(ctx, p)
+	return res.Sweep, err
 }
 
 // Fuzz fans a fuzzing campaign's shards out across the workers and returns
@@ -206,34 +152,20 @@ func (c *Coordinator) FuzzUntilStall(ctx context.Context, p daemon.FuzzParams, c
 }
 
 // fuzzRound leases and merges one fuzzing run of cfg — Fuzz's only round,
-// or one of FuzzUntilStall's.
+// or one of FuzzUntilStall's. The round's seed, seed corpus and base
+// frontier ride in the shard params the plan ships.
 func (c *Coordinator) fuzzRound(ctx context.Context, p daemon.FuzzParams, cfg pssp.FuzzConfig, corpusDir string) (*pssp.FuzzReport, error) {
 	m, img, err := planImage(p.App, p.Scheme, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := m.FuzzPlan(img, cfg)
+	sp := daemon.FuzzShardParams{FuzzParams: p, BaseVirgin: cfg.BaseVirgin, CorpusDir: corpusDir}
+	sp.Seed, sp.Seeds = cfg.Seed, cfg.Seeds
+	pl, err := daemon.PlanFuzz(m, img, sp)
 	if err != nil {
 		return nil, err
 	}
-	sp := daemon.FuzzShardParams{
-		FuzzParams: p,
-		Label:      plan.Label,
-		BaseVirgin: cfg.BaseVirgin,
-		CorpusDir:  corpusDir,
-	}
-	// Ship the round's seed and the resolved seed corpus, not the raw one:
-	// workers must mutate from exactly the seeds the plan resolved
-	// (built-in request default, corpus-loaded extras), or the scenario
-	// would drift.
-	sp.Seed, sp.Seeds = cfg.Seed, plan.Seeds
-	parts, err := leaseAll(ctx, c, "fuzz", "fuzzshard", plan.Shards,
-		func(lo, hi int) any { fp := sp; fp.Lo, fp.Hi = lo, hi; return fp },
-		func(r daemon.FuzzShardResult) []*pssp.FuzzPartial { return r.Partials })
-	if err != nil {
-		return nil, err
-	}
-	rep, err := pssp.MergeFuzzPartials(plan, parts)
+	rep, err := leaseAll(ctx, c, "fuzz", pl)
 	if err != nil {
 		return nil, err
 	}

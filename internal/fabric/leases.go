@@ -23,27 +23,30 @@ type lease struct {
 // safe for concurrent calls (one per busy worker).
 type leaseCall func(ctx context.Context, w *worker, lo, hi int) error
 
-// leaseAll runs shards [0, shards) of one job as method leases across the
-// workers and returns every lease's partials for the merge — the one
-// lease-and-merge loop behind every fabric job kind. params builds a
-// lease's wire params from its range; partials unpacks its result. kind
-// names the job's flight-recorder trace.
-func leaseAll[R, P any](ctx context.Context, c *Coordinator, kind, method string, shards int,
-	params func(lo, hi int) any, partials func(R) []P) ([]P, error) {
+// leaseAll is the leased range runner: it runs every shard range of pl as
+// a lease across the workers and folds the results with the plan's merge —
+// the one lease-and-merge loop behind every fabric job kind. kind names
+// the job's flight-recorder trace. A merge error (a malformed partial)
+// fails the job like a fatal lease error.
+func leaseAll[S, R, Rep any](ctx context.Context, c *Coordinator, kind string, pl daemon.Plan[S, R, Rep]) (Rep, error) {
 	var mu sync.Mutex
-	var out []P
+	var results []R
 	ctx = obs.ContextWithTrace(ctx, c.beginTrace(kind))
-	err := c.runLeases(ctx, shards, func(ctx context.Context, w *worker, lo, hi int) error {
+	err := c.runLeases(ctx, pl.Shards, func(ctx context.Context, w *worker, lo, hi int) error {
 		var res R
-		if err := c.callLease(ctx, w, method, params(lo, hi), &res); err != nil {
+		if err := c.callLease(ctx, w, pl.Method, pl.Range(lo, hi), &res); err != nil {
 			return err
 		}
 		mu.Lock()
-		out = append(out, partials(res)...)
+		results = append(results, res)
 		mu.Unlock()
 		return nil
 	})
-	return out, err
+	if err != nil {
+		var zero Rep
+		return zero, err
+	}
+	return pl.Merge(results)
 }
 
 // doneMsg reports one finished dispatch back to the engine loop.

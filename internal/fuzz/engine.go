@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/vm"
@@ -76,7 +75,11 @@ type Progress struct {
 	CorpusSize int
 }
 
-func (c Config) withDefaults() (Config, error) {
+// Normalize resolves the run's defaults and clamps (shards to execs,
+// workers to shards, ...) and validates it — exactly what Run does
+// internally. The distributed fabric normalizes once on the coordinator so
+// every worker leases shards of the same final scenario. Idempotent.
+func (c Config) Normalize() (Config, error) {
 	if len(c.Seeds) == 0 {
 		return c, errors.New("fuzz: empty seed corpus")
 	}
@@ -110,71 +113,6 @@ func (c Config) withDefaults() (Config, error) {
 		c.ProgressEvery = 256
 	}
 	return c, nil
-}
-
-// progressMeter is the wall-clock observability tap behind Config.Progress.
-// A nil meter (no listener) makes every method a single pointer check,
-// keeping the default hot path allocation-free.
-type progressMeter struct {
-	mu        sync.Mutex
-	fn        func(Progress)
-	every     int
-	sinceTick int
-	prog      Progress
-}
-
-// newProgressMeter returns nil when no callback listens — the nil receiver
-// IS the disabled state.
-func newProgressMeter(cfg Config) *progressMeter {
-	if cfg.Progress == nil {
-		return nil
-	}
-	return &progressMeter{fn: cfg.Progress, every: cfg.ProgressEvery, prog: Progress{Shards: cfg.Shards}}
-}
-
-// exec folds one execution into the tally and fires the callback on the
-// tick boundary. Minimization probes count here too — they are real victim
-// executions.
-func (m *progressMeter) exec(crashed bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.prog.Execs++
-	if crashed {
-		m.prog.Crashes++
-	}
-	m.sinceTick++
-	if m.sinceTick >= m.every {
-		m.sinceTick = 0
-		m.fn(m.prog)
-	}
-	m.mu.Unlock()
-}
-
-// advance accumulates frontier/corpus/finding growth without forcing a tick
-// — the next exec boundary carries it out.
-func (m *progressMeter) advance(newEdges, corpusAdd, findingAdd int) {
-	if m == nil || (newEdges|corpusAdd|findingAdd) == 0 {
-		return
-	}
-	m.mu.Lock()
-	m.prog.Edges += newEdges
-	m.prog.CorpusSize += corpusAdd
-	m.prog.Findings += findingAdd
-	m.mu.Unlock()
-}
-
-// shardDone marks one shard finished and fires the callback.
-func (m *progressMeter) shardDone() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.prog.ShardsDone++
-	m.sinceTick = 0
-	m.fn(m.prog)
-	m.mu.Unlock()
 }
 
 // bucket classifies a hit count into AFL's power-of-two bucket bit, so "ran
@@ -227,27 +165,18 @@ func mergeCov(virgin []byte, cov *vm.CovMap) int {
 	return news
 }
 
-// shardResult is one shard's complete outcome.
-type shardResult struct {
-	execs, mutationExecs, crashes int
-	cycles, insts                 uint64
-	corpus                        [][]byte
-	virgin                        []byte
-	findings                      []Finding
-}
-
 // minFiller is the canonical byte minimization rewrites inputs toward —
 // the attack layer's default buffer filler.
 const minFiller = 'A'
 
-// runShard fuzzes one shard to its budget. The returned result is valid
-// even on error (partial, up to the failure).
-func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progressMeter) (st *shardResult, err error) {
+// runShard fuzzes one shard to its budget. The returned partial is valid
+// even on error (up to the failure).
+func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workpool.Meter[Progress]) (st *Partial, err error) {
 	r := rng.NewStream(cfg.Seed, uint64(shard))
 	mut := &mutator{r: r, dict: cfg.Dict, max: cfg.MaxInput}
-	st = &shardResult{virgin: make([]byte, vm.CovMapSize)}
+	st = &Partial{Shard: shard, Virgin: make([]byte, vm.CovMapSize)}
 	if len(cfg.BaseVirgin) == vm.CovMapSize {
-		copy(st.virgin, cfg.BaseVirgin)
+		copy(st.Virgin, cfg.BaseVirgin)
 	}
 	seen := make(map[crashKey]bool)
 
@@ -261,10 +190,17 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 		if err != nil {
 			return Exec{}, nil, err
 		}
-		st.execs++
-		st.cycles += out.Cycles
-		st.insts += out.Insts
-		mt.exec(out.Crashed)
+		st.Execs++
+		st.Cycles += out.Cycles
+		st.Insts += out.Insts
+		// Minimization probes count here too: they are real victim
+		// executions.
+		mt.Tick(func(p *Progress) {
+			p.Execs++
+			if out.Crashed {
+				p.Crashes++
+			}
+		})
 		return out, cov, nil
 	}
 
@@ -325,11 +261,11 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 	// triage records a crashing execution: dedupe by key, then minimize the
 	// first input that reached each unique site.
 	triage := func(input []byte, out Exec) error {
-		st.crashes++
+		st.Crashes++
 		f := Finding{
 			Shard:    shard,
-			Exec:     st.execs,
-			Cycles:   st.cycles,
+			Exec:     st.Execs,
+			Cycles:   st.Cycles,
 			Input:    append([]byte(nil), input...),
 			CrashPC:  out.CrashPC,
 			Kind:     out.Kind,
@@ -340,10 +276,10 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 			return nil
 		}
 		seen[k] = true
-		mt.advance(0, 0, 1)
+		mt.Add(func(p *Progress) { p.Findings++ })
 		min, err := minimize(f.Input, k)
 		f.Minimized = min
-		st.findings = append(st.findings, f)
+		st.Findings = append(st.Findings, f)
 		return err
 	}
 
@@ -355,33 +291,34 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 		if err != nil {
 			return st, err
 		}
-		mt.advance(mergeCov(st.virgin, cov), 0, 0)
+		news := mergeCov(st.Virgin, cov)
+		mt.Add(func(p *Progress) { p.Edges += news })
 		if out.Crashed {
 			if err := triage(s, out); err != nil {
 				return st, err
 			}
 			continue
 		}
-		st.corpus = append(st.corpus, append([]byte(nil), s...))
-		mt.advance(0, 1, 0)
+		st.Corpus = append(st.Corpus, append([]byte(nil), s...))
+		mt.Add(func(p *Progress) { p.CorpusSize++ })
 	}
 
 	// Mutation phase: pick a parent, mutate, execute; coverage novelty
 	// admits survivors to the corpus, crashes go to triage.
-	for ; st.mutationExecs < budget; st.mutationExecs++ {
+	for ; st.MutationExecs < budget; st.MutationExecs++ {
 		var parent []byte
-		if len(st.corpus) > 0 {
-			parent = st.corpus[r.Intn(len(st.corpus))]
+		if len(st.Corpus) > 0 {
+			parent = st.Corpus[r.Intn(len(st.Corpus))]
 		} else {
 			parent = cfg.Seeds[r.Intn(len(cfg.Seeds))]
 		}
-		input := mut.mutate(parent, st.corpus)
+		input := mut.mutate(parent, st.Corpus)
 		out, cov, err := execute(input)
 		if err != nil {
 			return st, err
 		}
-		news := mergeCov(st.virgin, cov)
-		mt.advance(news, 0, 0)
+		news := mergeCov(st.Virgin, cov)
+		mt.Add(func(p *Progress) { p.Edges += news })
 		if out.Crashed {
 			if err := triage(input, out); err != nil {
 				return st, err
@@ -389,8 +326,8 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 			continue
 		}
 		if news > 0 {
-			st.corpus = append(st.corpus, input)
-			mt.advance(0, 1, 0)
+			st.Corpus = append(st.Corpus, input)
+			mt.Add(func(p *Progress) { p.CorpusSize++ })
 		}
 	}
 	return st, nil
@@ -398,51 +335,29 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *progr
 
 // Run executes the fuzzing campaign: cfg.Shards self-contained shards, each
 // against its own boot'ed victim, executed by cfg.Workers goroutines and
-// merged in shard order. For a fixed seed the Report is bit-identical at any
-// worker count.
+// merged in shard order — RunShards over every shard, then MergePartials.
+// For a fixed seed the Report is bit-identical at any worker count.
 //
 // On cancellation Run returns the partial report of the work done so far
 // together with ctx.Err(). Any transport/boot error aborts the run and is
 // returned with the partial report.
 func Run(ctx context.Context, cfg Config, boot Boot) (*Report, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-
-	results := make([]*shardResult, cfg.Shards)
-	mt := newProgressMeter(cfg)
-	// Cancellation and fatal-error semantics live in workpool.Run; a shard
-	// stores its (possibly partial) result before reporting any error, so
-	// cancelled runs still merge the work done so far.
-	poolErr := workpool.Run(ctx, cfg.Shards, cfg.Workers, func(ctx context.Context, shard int) error {
-		ex, err := boot(ctx, shard)
-		if err != nil {
-			return fmt.Errorf("fuzz: boot shard %d: %w", shard, err)
-		}
-		st, err := runShard(ctx, cfg, shard, ex, mt)
-		results[shard] = st // partial shard results still merge
-		if err == nil {
-			mt.shardDone()
-		}
-		return err
-	})
-	return merge(cfg, results), poolErr
+	parts, runErr := RunShards(ctx, cfg, boot, 0, cfg.Shards)
+	rep, err := MergePartials(cfg, parts)
+	if err != nil {
+		return nil, err
+	}
+	return rep, runErr
 }
 
-// Normalize resolves the run's defaults and clamps (shards to execs,
-// workers to shards, ...) and validates it — exactly what Run does
-// internally. The distributed fabric normalizes once on the coordinator so
-// every worker leases shards of the same final scenario. Idempotent.
-func (c Config) Normalize() (Config, error) {
-	return c.withDefaults()
-}
-
-// Partial is one shard's complete result in wire form — the unit a fabric
-// worker ships back. It mirrors shardResult exactly (corpus inputs and the
-// bucketed virgin map included, base64 on the wire), so MergePartials
-// reassembles the very slot array Run would have merged and the distributed
-// report is bit-identical to the local one.
+// Partial is one shard's complete result: the state runShard fills, and,
+// unchanged, the unit a fabric worker ships back (corpus inputs and the
+// bucketed virgin map included, base64 on the wire), so a distributed merge
+// folds exactly what a local one does.
 type Partial struct {
 	Shard         int       `json:"shard"`
 	Execs         int       `json:"execs"`
@@ -455,119 +370,98 @@ type Partial struct {
 	Findings      []Finding `json:"findings,omitempty"`
 }
 
-// partial converts a shard's internal result to wire form.
-func (st *shardResult) partial(shard int) *Partial {
-	return &Partial{
-		Shard:         shard,
-		Execs:         st.execs,
-		MutationExecs: st.mutationExecs,
-		Crashes:       st.crashes,
-		Cycles:        st.cycles,
-		Insts:         st.insts,
-		Corpus:        st.corpus,
-		Virgin:        st.virgin,
-		Findings:      st.findings,
-	}
-}
-
-// result converts a wire partial back to the engine's internal shard state.
-func (p *Partial) result() *shardResult {
-	return &shardResult{
-		execs:         p.Execs,
-		mutationExecs: p.MutationExecs,
-		crashes:       p.Crashes,
-		cycles:        p.Cycles,
-		insts:         p.Insts,
-		corpus:        p.Corpus,
-		virgin:        p.Virgin,
-		findings:      p.Findings,
-	}
-}
+// ErrMalformedPartial rejects a partial whose shape does not fit the run it
+// is merged into (a worker's partial crosses a trust boundary).
+var ErrMalformedPartial = errors.New("fuzz: malformed partial")
 
 // RunShards executes only shards [lo, hi) of the fuzzing campaign and
 // returns their partials in shard order. cfg must be the full (ideally
 // pre-Normalized) scenario — shard indices keep their global meaning, so
 // rng streams and budget shares are identical to the single-process run.
+// On error the partials of the completed and interrupted shards come back
+// with it.
 func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Partial, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
 	if lo < 0 || hi > cfg.Shards || lo >= hi {
 		return nil, fmt.Errorf("fuzz: shard range [%d,%d) outside shards [0,%d)", lo, hi, cfg.Shards)
 	}
-	workers := cfg.Workers
-	if workers > hi-lo {
-		workers = hi - lo
-	}
-	results := make([]*shardResult, cfg.Shards)
-	mt := newProgressMeter(cfg)
-	poolErr := workpool.RunRange(ctx, lo, hi, workers, func(ctx context.Context, shard int) error {
+	slots := make([]*Partial, hi-lo)
+	mt := workpool.NewMeter(cfg.Progress, cfg.ProgressEvery, Progress{Shards: cfg.Shards})
+	// Cancellation and fatal-error semantics live in workpool; a shard
+	// stores its (possibly partial) result before reporting any error, so
+	// an interrupted range still merges the work done so far.
+	poolErr := workpool.RunRange(ctx, lo, hi, min(cfg.Workers, hi-lo), func(ctx context.Context, shard int) error {
 		ex, err := boot(ctx, shard)
 		if err != nil {
 			return fmt.Errorf("fuzz: boot shard %d: %w", shard, err)
 		}
 		st, err := runShard(ctx, cfg, shard, ex, mt)
-		results[shard] = st
+		slots[shard-lo] = st
 		if err == nil {
-			mt.shardDone()
+			mt.Flush(func(p *Progress) { p.ShardsDone++ })
 		}
 		return err
 	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	var parts []*Partial
-	for shard := lo; shard < hi; shard++ {
-		if st := results[shard]; st != nil {
-			parts = append(parts, st.partial(shard))
+	parts := slots[:0]
+	for _, st := range slots {
+		if st != nil {
+			parts = append(parts, st)
 		}
 	}
-	return parts, nil
+	return parts, poolErr
 }
 
-// MergePartials folds wire partials into the report Run would have produced
-// for the same cfg. Partials may arrive in any order and may repeat a shard
-// (a reassigned lease): slots are keyed by shard index, so a duplicate
+// MergePartials folds partials into the report Run would have produced for
+// the same cfg. Partials may arrive in any order and may repeat a shard (a
+// reassigned lease): slots are keyed by shard index, so a duplicate
 // overwrites with identical data. Missing shards merge like a cancelled
-// run's.
+// run's; a partial whose virgin map is not vm.CovMapSize bytes fails with
+// ErrMalformedPartial.
 func MergePartials(cfg Config, parts []*Partial) (*Report, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*shardResult, cfg.Shards)
+	slots := make([]*Partial, cfg.Shards)
 	for _, p := range parts {
-		if p != nil && p.Shard >= 0 && p.Shard < cfg.Shards {
-			results[p.Shard] = p.result()
+		if p == nil || p.Shard < 0 || p.Shard >= cfg.Shards {
+			continue
 		}
+		if len(p.Virgin) != vm.CovMapSize {
+			return nil, fmt.Errorf("%w: shard %d has a %d-byte virgin map, want %d",
+				ErrMalformedPartial, p.Shard, len(p.Virgin), vm.CovMapSize)
+		}
+		slots[p.Shard] = p
 	}
-	return merge(cfg, results), nil
+	return merge(cfg, slots), nil
 }
 
-// merge folds per-shard results (in shard order) into the final report,
+// merge folds per-shard partials (in shard order) into the final report,
 // deduplicating findings across shards by triage key.
-func merge(cfg Config, results []*shardResult) *Report {
+func merge(cfg Config, slots []*Partial) *Report {
 	rep := &Report{Label: cfg.Label, Shards: cfg.Shards}
 	union := make([]byte, vm.CovMapSize)
 	seen := make(map[crashKey]bool)
-	for _, st := range results {
+	for _, st := range slots {
 		if st == nil {
 			continue
 		}
-		rep.Execs += st.execs
-		rep.MutationExecs += st.mutationExecs
-		rep.Crashes += st.crashes
-		rep.Cycles += st.cycles
-		rep.Insts += st.insts
-		for i, v := range st.virgin {
+		rep.Execs += st.Execs
+		rep.MutationExecs += st.MutationExecs
+		rep.Crashes += st.Crashes
+		rep.Cycles += st.Cycles
+		rep.Insts += st.Insts
+		for i, v := range st.Virgin {
 			union[i] |= v
 		}
-		for _, in := range st.corpus {
+		for _, in := range st.Corpus {
 			rep.CorpusHashes = append(rep.CorpusHashes, hash64(in))
 			rep.corpus = append(rep.corpus, in)
 		}
-		for _, f := range st.findings {
+		for _, f := range st.Findings {
 			if k := f.key(); !seen[k] {
 				seen[k] = true
 				rep.Findings = append(rep.Findings, f)

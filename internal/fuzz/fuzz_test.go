@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/vm"
+	"repro/internal/workpool"
 )
 
 // fakeTarget is a synthetic victim: inputs longer than bufLen "overflow" and
@@ -284,12 +285,36 @@ func TestProgressStreamsExecsAndFindings(t *testing.T) {
 func TestNilProgressMeterIsFree(t *testing.T) {
 	// Disabled metering is the nil receiver: the per-execution hot path
 	// must not allocate.
-	var m *progressMeter
+	var m *workpool.Meter[Progress]
+	crashed, news := true, 3
 	if n := testing.AllocsPerRun(100, func() {
-		m.exec(true)
-		m.advance(1, 1, 1)
-		m.shardDone()
+		m.Tick(func(p *Progress) {
+			if crashed {
+				p.Crashes++
+			}
+		})
+		m.Add(func(p *Progress) { p.Edges += news })
+		m.Flush(func(p *Progress) { p.ShardsDone++ })
 	}); n != 0 {
 		t.Fatalf("nil meter allocated %.0f times per exec", n)
+	}
+}
+
+// TestMergeRejectsMalformedPartial: a worker's partial crosses a trust
+// boundary, so a virgin map of the wrong size is a typed error, never an
+// index panic in the merge.
+func TestMergeRejectsMalformedPartial(t *testing.T) {
+	cfg := Config{Label: "fake", Seeds: [][]byte{[]byte("GET /")}, Execs: 64, Shards: 2, Seed: 2018}
+	parts, err := RunShards(context.Background(), cfg, fakeBoot(16), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{vm.CovMapSize + 1, vm.CovMapSize - 1, 0} {
+		bad := *parts[0]
+		bad.Virgin = make([]byte, n)
+		rep, err := MergePartials(cfg, []*Partial{&bad, parts[1]})
+		if !errors.Is(err, ErrMalformedPartial) || rep != nil {
+			t.Fatalf("merge of a %d-byte virgin map = %v, %v; want ErrMalformedPartial", n, rep, err)
+		}
 	}
 }

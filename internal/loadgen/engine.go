@@ -5,76 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/workpool"
 )
-
-// progressMeter is the wall-clock observability tap behind Config.Progress:
-// every shard reports its served requests into it, and it invokes the
-// callback every ProgressEvery requests plus at each shard completion. A nil
-// meter (no listener) makes every method a single pointer check, keeping the
-// default path allocation-free.
-type progressMeter struct {
-	mu        sync.Mutex
-	fn        func(Progress)
-	every     int
-	sinceTick int
-	prog      Progress
-	lat       Hist
-}
-
-// newProgressMeter returns nil when no callback listens — the nil receiver
-// IS the disabled state.
-func newProgressMeter(cfg Config) *progressMeter {
-	if cfg.Progress == nil {
-		return nil
-	}
-	return &progressMeter{fn: cfg.Progress, every: cfg.ProgressEvery, prog: Progress{Shards: cfg.Shards}}
-}
-
-// request folds one served request into the tally and fires the callback on
-// the tick boundary.
-func (m *progressMeter) request(out Outcome) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.prog.Requests++
-	if out.Crashed {
-		m.prog.Crashes++
-		if out.Detected {
-			m.prog.Detections++
-		}
-	} else {
-		m.prog.OK++
-	}
-	m.sinceTick++
-	if m.sinceTick >= m.every {
-		m.sinceTick = 0
-		m.fn(m.prog)
-	}
-	m.mu.Unlock()
-}
-
-// shardDone merges a finished shard's latency histogram, refreshes the
-// quantile snapshot, and fires the callback.
-func (m *progressMeter) shardDone(lat *Hist) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.prog.ShardsDone++
-	if lat != nil {
-		m.lat.Merge(lat)
-	}
-	m.prog.P50Cycles = m.lat.Quantile(0.50)
-	m.prog.P99Cycles = m.lat.Quantile(0.99)
-	m.sinceTick = 0
-	m.fn(m.prog)
-	m.mu.Unlock()
-}
 
 // Outcome reports one served request from the engine's point of view.
 type Outcome struct {
@@ -99,21 +33,6 @@ type Server interface {
 // behaviour is independent of which worker executes it.
 type Boot func(ctx context.Context, shard int) (Server, error)
 
-// classTally accumulates one class's per-shard statistics.
-type classTally struct {
-	requests, crashes, detections int
-	probeReps, probeSuccesses     int
-	lat                           Hist
-}
-
-// shardStats is one shard's complete result.
-type shardStats struct {
-	requests, ok, crashes, detections int
-	makespan                          uint64
-	lat                               Hist
-	classes                           []classTally
-}
-
 // expDraw samples an exponential with the given mean from r, as virtual
 // cycles (floored; a zero draw is allowed — coincident arrivals are ordered
 // by client index).
@@ -123,10 +42,10 @@ func expDraw(r *rng.Source, mean float64) uint64 {
 }
 
 // runShard simulates one shard's clients in virtual time against srv.
-// The returned stats are valid even on error (partial, up to the failure).
-func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *progressMeter) (st *shardStats, err error) {
+// The returned partial is valid even on error (up to the failure).
+func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *workpool.Meter[Progress]) (st *Partial, err error) {
 	r := rng.NewStream(cfg.Seed, uint64(shard))
-	st = &shardStats{classes: make([]classTally, len(cfg.Mix))}
+	st = &Partial{Shard: shard, Classes: make([]ClassPartial, len(cfg.Mix))}
 
 	// Weighted class picker.
 	totalWeight := 0
@@ -159,8 +78,8 @@ func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *progre
 		for i, ps := range probes {
 			if ps != nil {
 				reps, succ := ps.stop()
-				st.classes[i].probeReps += reps
-				st.classes[i].probeSuccesses += succ
+				st.Classes[i].ProbeReplications += reps
+				st.Classes[i].ProbeSuccesses += succ
 			}
 		}
 	}()
@@ -203,27 +122,37 @@ func runShard(ctx context.Context, cfg Config, shard int, srv Server, mt *progre
 		}
 		completion := start + out.Cycles
 		free = completion
-		if completion > st.makespan {
-			st.makespan = completion
+		if completion > st.Makespan {
+			st.Makespan = completion
 		}
 		latency := completion - arrival
 
-		st.requests++
-		cl := &st.classes[ci]
-		cl.requests++
-		st.lat.Record(latency)
-		cl.lat.Record(latency)
+		st.Requests++
+		cl := &st.Classes[ci]
+		cl.Requests++
+		st.Latency.Record(latency)
+		cl.Latency.Record(latency)
 		if out.Crashed {
-			st.crashes++
-			cl.crashes++
+			st.Crashes++
+			cl.Crashes++
 			if out.Detected {
-				st.detections++
-				cl.detections++
+				st.Detections++
+				cl.Detections++
 			}
 		} else {
-			st.ok++
+			st.OK++
 		}
-		mt.request(out)
+		mt.Tick(func(p *Progress) {
+			p.Requests++
+			if out.Crashed {
+				p.Crashes++
+				if out.Detected {
+					p.Detections++
+				}
+			} else {
+				p.OK++
+			}
+		})
 		return nil
 	}
 
@@ -335,40 +264,6 @@ func (h *eventHeap) pop() clientEvent {
 	return top
 }
 
-// Run executes the workload: cfg.Shards self-contained client shards, each
-// against its own boot'ed replica server, executed by cfg.Workers
-// goroutines and merged in shard order. For a fixed seed the Report is
-// bit-identical at any worker count.
-//
-// On cancellation Run returns the partial report of the work done so far
-// together with ctx.Err(). Any transport/boot error aborts the run and is
-// returned with the partial report.
-func Run(ctx context.Context, cfg Config, boot Boot) (*Report, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-
-	stats := make([]*shardStats, cfg.Shards)
-	mt := newProgressMeter(cfg)
-	// Cancellation and fatal-error semantics live in workpool.Run; a shard
-	// stores its (possibly partial) stats before reporting any error, so
-	// cancelled runs still merge the work done so far.
-	poolErr := workpool.Run(ctx, cfg.Shards, cfg.Workers, func(ctx context.Context, shard int) error {
-		srv, err := boot(ctx, shard)
-		if err != nil {
-			return fmt.Errorf("loadgen: boot shard %d: %w", shard, err)
-		}
-		st, err := runShard(ctx, cfg, shard, srv, mt)
-		stats[shard] = st // partial shard results still merge
-		if err == nil {
-			mt.shardDone(&st.lat)
-		}
-		return err
-	})
-	return merge(cfg, stats), poolErr
-}
-
 // ClassPartial is one class's slice of a shard partial, in mix order. The
 // latency histogram travels in its lossless wire form (see Hist JSON).
 type ClassPartial struct {
@@ -380,11 +275,9 @@ type ClassPartial struct {
 	Latency           Hist `json:"latency"`
 }
 
-// Partial is one shard's complete result in wire form — the unit a fabric
-// worker ships back. It mirrors the engine's internal shard state exactly
-// (histograms included), so MergePartials reassembles the very slot array
-// Run would have merged and the distributed report is bit-identical to the
-// local one.
+// Partial is one shard's complete result: the state runShard fills, and,
+// unchanged, the unit a fabric worker ships back (histograms included), so
+// a distributed merge folds exactly what a local one does.
 type Partial struct {
 	Shard      int            `json:"shard"`
 	Requests   int            `json:"requests"`
@@ -396,173 +289,164 @@ type Partial struct {
 	Classes    []ClassPartial `json:"classes"`
 }
 
-// partial converts a shard's internal stats to wire form.
-func (st *shardStats) partial(shard int) *Partial {
-	p := &Partial{
-		Shard:      shard,
-		Requests:   st.requests,
-		OK:         st.ok,
-		Crashes:    st.crashes,
-		Detections: st.detections,
-		Makespan:   st.makespan,
-		Latency:    st.lat,
-	}
-	for i := range st.classes {
-		c := &st.classes[i]
-		p.Classes = append(p.Classes, ClassPartial{
-			Requests:          c.requests,
-			Crashes:           c.crashes,
-			Detections:        c.detections,
-			ProbeReplications: c.probeReps,
-			ProbeSuccesses:    c.probeSuccesses,
-			Latency:           c.lat,
-		})
-	}
-	return p
-}
+// ErrMalformedPartial rejects a partial whose shape does not fit the
+// scenario it is merged into (a worker's partial crosses a trust boundary).
+var ErrMalformedPartial = errors.New("loadgen: malformed partial")
 
-// stats converts a wire partial back to the engine's internal shard state.
-func (p *Partial) stats() *shardStats {
-	st := &shardStats{
-		requests:   p.Requests,
-		ok:         p.OK,
-		crashes:    p.Crashes,
-		detections: p.Detections,
-		makespan:   p.Makespan,
-		lat:        p.Latency,
+// Run executes the workload: cfg.Shards self-contained client shards, each
+// against its own boot'ed replica server, executed by cfg.Workers
+// goroutines and merged in shard order — RunShards over every shard, then
+// MergePartials. For a fixed seed the Report is bit-identical at any worker
+// count.
+//
+// On cancellation Run returns the partial report of the work done so far
+// together with ctx.Err(). Any transport/boot error aborts the run and is
+// returned with the partial report.
+func Run(ctx context.Context, cfg Config, boot Boot) (*Report, error) {
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		return nil, err
 	}
-	for i := range p.Classes {
-		c := &p.Classes[i]
-		st.classes = append(st.classes, classTally{
-			requests:       c.Requests,
-			crashes:        c.Crashes,
-			detections:     c.Detections,
-			probeReps:      c.ProbeReplications,
-			probeSuccesses: c.ProbeSuccesses,
-			lat:            c.Latency,
-		})
+	parts, runErr := RunShards(ctx, cfg, boot, 0, cfg.Shards)
+	rep, err := MergePartials(cfg, parts)
+	if err != nil {
+		return nil, err
 	}
-	return st
+	return rep, runErr
 }
 
 // RunShards executes only shards [lo, hi) of the workload and returns their
 // partials in shard order. cfg must be the full (ideally pre-Normalized)
 // scenario — shard indices keep their global meaning, so rng streams and
-// budget shares are identical to the single-process run.
+// budget shares are identical to the single-process run. On error the
+// partials of the completed and interrupted shards come back with it.
 func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Partial, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
 	if lo < 0 || hi > cfg.Shards || lo >= hi {
 		return nil, fmt.Errorf("loadgen: shard range [%d,%d) outside shards [0,%d)", lo, hi, cfg.Shards)
 	}
-	workers := cfg.Workers
-	if workers > hi-lo {
-		workers = hi - lo
+	slots := make([]*Partial, hi-lo)
+	// The meter ticks every ProgressEvery requests and at each shard
+	// completion, when it refreshes the latency quantiles of the shards
+	// done so far (per-request quantiles would dominate the engine's cost).
+	mt := workpool.NewMeter(cfg.Progress, cfg.ProgressEvery, Progress{Shards: cfg.Shards})
+	var lat *Hist // guarded by mt's lock
+	if mt != nil {
+		lat = new(Hist)
 	}
-	stats := make([]*shardStats, cfg.Shards)
-	mt := newProgressMeter(cfg)
-	poolErr := workpool.RunRange(ctx, lo, hi, workers, func(ctx context.Context, shard int) error {
+	// Cancellation and fatal-error semantics live in workpool; a shard
+	// stores its (possibly partial) result before reporting any error, so
+	// an interrupted range still merges the work done so far.
+	poolErr := workpool.RunRange(ctx, lo, hi, min(cfg.Workers, hi-lo), func(ctx context.Context, shard int) error {
 		srv, err := boot(ctx, shard)
 		if err != nil {
 			return fmt.Errorf("loadgen: boot shard %d: %w", shard, err)
 		}
 		st, err := runShard(ctx, cfg, shard, srv, mt)
-		stats[shard] = st
+		slots[shard-lo] = st
 		if err == nil {
-			mt.shardDone(&st.lat)
+			mt.Flush(func(p *Progress) {
+				lat.Merge(&st.Latency)
+				p.ShardsDone++
+				p.P50Cycles, p.P99Cycles = lat.Quantile(0.50), lat.Quantile(0.99)
+			})
 		}
 		return err
 	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	var parts []*Partial
-	for shard := lo; shard < hi; shard++ {
-		if st := stats[shard]; st != nil {
-			parts = append(parts, st.partial(shard))
+	parts := slots[:0]
+	for _, st := range slots {
+		if st != nil {
+			parts = append(parts, st)
 		}
 	}
-	return parts, nil
+	return parts, poolErr
 }
 
-// MergePartials folds wire partials into the report Run would have produced
-// for the same cfg. Partials may arrive in any order and may repeat a shard
-// (a reassigned lease): slots are keyed by shard index, so a duplicate
+// MergePartials folds partials into the report Run would have produced for
+// the same cfg. Partials may arrive in any order and may repeat a shard (a
+// reassigned lease): slots are keyed by shard index, so a duplicate
 // overwrites with identical data. Missing shards merge like a cancelled
-// run's.
+// run's; a partial whose class count differs from the mix fails with
+// ErrMalformedPartial.
 func MergePartials(cfg Config, parts []*Partial) (*Report, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	stats := make([]*shardStats, cfg.Shards)
+	slots := make([]*Partial, cfg.Shards)
 	for _, p := range parts {
-		if p != nil && p.Shard >= 0 && p.Shard < cfg.Shards {
-			stats[p.Shard] = p.stats()
+		if p == nil || p.Shard < 0 || p.Shard >= cfg.Shards {
+			continue
 		}
+		if len(p.Classes) != len(cfg.Mix) {
+			return nil, fmt.Errorf("%w: shard %d has %d classes, the mix %d",
+				ErrMalformedPartial, p.Shard, len(p.Classes), len(cfg.Mix))
+		}
+		slots[p.Shard] = p
 	}
-	return merge(cfg, stats), nil
+	return merge(cfg, slots), nil
 }
 
-// merge folds per-shard stats (in shard order) into the final report.
-func merge(cfg Config, stats []*shardStats) *Report {
+// merge folds per-shard partials (in shard order) into the final report.
+func merge(cfg Config, slots []*Partial) *Report {
 	rep := &Report{
 		Label:    cfg.Label,
 		Arrivals: cfg.Arrivals.String(),
 		Shards:   cfg.Shards,
 	}
 	var all Hist
-	classes := make([]classTally, len(cfg.Mix))
-	for _, st := range stats {
+	classes := make([]ClassPartial, len(cfg.Mix))
+	for _, st := range slots {
 		if st == nil {
 			continue
 		}
-		rep.Requests += st.requests
-		rep.OK += st.ok
-		rep.Crashes += st.crashes
-		rep.Detections += st.detections
-		if st.makespan > rep.DurationCycles {
-			rep.DurationCycles = st.makespan
+		rep.Requests += st.Requests
+		rep.OK += st.OK
+		rep.Crashes += st.Crashes
+		rep.Detections += st.Detections
+		if st.Makespan > rep.DurationCycles {
+			rep.DurationCycles = st.Makespan
 		}
-		all.Merge(&st.lat)
+		all.Merge(&st.Latency)
 		for i := range classes {
-			c, s := &classes[i], &st.classes[i]
-			c.requests += s.requests
-			c.crashes += s.crashes
-			c.detections += s.detections
-			c.probeReps += s.probeReps
-			c.probeSuccesses += s.probeSuccesses
-			c.lat.Merge(&s.lat)
+			c, s := &classes[i], &st.Classes[i]
+			c.Requests += s.Requests
+			c.Crashes += s.Crashes
+			c.Detections += s.Detections
+			c.ProbeReplications += s.ProbeReplications
+			c.ProbeSuccesses += s.ProbeSuccesses
+			c.Latency.Merge(&s.Latency)
 		}
 	}
 	rep.Latency = all.Summary()
 	for i, cl := range cfg.Mix {
 		c := &classes[i]
-		rep.ProbeReplications += c.probeReps
-		rep.ProbeSuccesses += c.probeSuccesses
+		rep.ProbeReplications += c.ProbeReplications
+		rep.ProbeSuccesses += c.ProbeSuccesses
 		rep.Classes = append(rep.Classes, ClassStats{
 			Name:              cl.Name,
-			Requests:          c.requests,
-			Crashes:           c.crashes,
-			Detections:        c.detections,
-			ProbeReplications: c.probeReps,
-			ProbeSuccesses:    c.probeSuccesses,
-			Latency:           c.lat.Summary(),
+			Requests:          c.Requests,
+			Crashes:           c.Crashes,
+			Detections:        c.Detections,
+			ProbeReplications: c.ProbeReplications,
+			ProbeSuccesses:    c.ProbeSuccesses,
+			Latency:           c.Latency.Summary(),
 		})
 	}
 	// Throughput sums per-shard rates (shards are independent replica
 	// servers): this keeps an unloaded Poisson run's efficiency near 1,
 	// where dividing the total count by the slowest shard's makespan would
 	// systematically understate it.
-	for _, st := range stats {
-		if st == nil || st.makespan == 0 {
+	for _, st := range slots {
+		if st == nil || st.Makespan == 0 {
 			continue
 		}
-		scale := 1e6 / float64(st.makespan)
-		rep.AchievedPerMcycle += float64(st.requests) * scale
-		rep.GoodputPerMcycle += float64(st.ok) * scale
+		scale := 1e6 / float64(st.Makespan)
+		rep.AchievedPerMcycle += float64(st.Requests) * scale
+		rep.GoodputPerMcycle += float64(st.OK) * scale
 	}
 	if cfg.Arrivals.Kind == ClosedLoop {
 		rep.OfferedPerMcycle = rep.AchievedPerMcycle
@@ -599,11 +483,9 @@ type SweepReport struct {
 
 // Scale returns the scenario at sweep multiplier m: the offered rate (open
 // loop) or client population (closed loop) scaled, with the "x%g" label
-// suffix. It is the single sweep-point transform — RunSweep and the
-// distributed fabric's sweep both use it, so their per-point scenarios are
-// identical by construction. Scale applies to the unnormalized base
-// scenario; normalize after scaling (shard clamps depend on the scaled
-// population).
+// suffix — the one sweep-point transform, applied by RunSweep before any
+// runner sees a point. Scale applies to the unnormalized base scenario;
+// normalize after scaling (shard clamps depend on the scaled population).
 func Scale(cfg Config, m float64) Config {
 	c := cfg
 	c.Label = fmt.Sprintf("%s x%g", cfg.Label, m)
@@ -619,10 +501,11 @@ func Scale(cfg Config, m float64) Config {
 }
 
 // RunSweep steps the scenario's offered load through the multipliers
-// (ascending; each point re-boots fresh shard servers via boot) and locates
-// the saturation knee. On error the points completed so far are returned
-// with it.
-func RunSweep(ctx context.Context, cfg Config, multipliers []float64, boot Boot) (*SweepReport, error) {
+// (ascending) and locates the saturation knee: the one sweep loop, whatever
+// runs a point. run executes one scaled scenario (see Scale) — the local
+// engine, or the fabric's leases. On error the points completed so far are
+// returned with it.
+func RunSweep(ctx context.Context, cfg Config, multipliers []float64, run func(context.Context, Config) (*Report, error)) (*SweepReport, error) {
 	if len(multipliers) == 0 {
 		return nil, errors.New("loadgen: sweep needs at least one multiplier")
 	}
@@ -631,7 +514,7 @@ func RunSweep(ctx context.Context, cfg Config, multipliers []float64, boot Boot)
 		if !(m > 0) {
 			return sw, fmt.Errorf("loadgen: non-positive sweep multiplier %g", m)
 		}
-		rep, err := Run(ctx, Scale(cfg, m), boot)
+		rep, err := run(ctx, Scale(cfg, m))
 		if err != nil {
 			return sw, err
 		}

@@ -158,7 +158,12 @@ type Progress struct {
 	P50Cycles, P99Cycles uint64
 }
 
-func (c Config) withDefaults() (Config, error) {
+// Normalize resolves the scenario's defaults and clamps (shards to
+// clients/requests, workers to shards, ...) and validates it — exactly what
+// Run does internally. The distributed fabric normalizes once on the
+// coordinator so every worker leases shards of the same final scenario.
+// Normalize is idempotent: normalizing a normalized config is the identity.
+func (c Config) Normalize() (Config, error) {
 	if len(c.Mix) == 0 {
 		return c, errors.New("loadgen: empty traffic mix")
 	}
@@ -223,15 +228,6 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	return c, nil
-}
-
-// Normalize resolves the scenario's defaults and clamps (shards to
-// clients/requests, workers to shards, ...) and validates it — exactly what
-// Run does internally. The distributed fabric normalizes once on the
-// coordinator so every worker leases shards of the same final scenario.
-// Normalize is idempotent: normalizing a normalized config is the identity.
-func (c Config) Normalize() (Config, error) {
-	return c.withDefaults()
 }
 
 // ClassStats is one class's slice of the report.

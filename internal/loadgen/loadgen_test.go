@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/workpool"
 )
 
 // fakeServer is a VM-free fork-per-request analog: requests up to bufLen
@@ -233,7 +234,10 @@ func TestOpenLoopSweepFindsKnee(t *testing.T) {
 		Shards:   2,
 		Seed:     7,
 	}
-	sw, err := RunSweep(context.Background(), cfg, []float64{0.25, 0.5, 1, 4}, fakeBoot(fakeBufLen, 0, 1000))
+	boot := fakeBoot(fakeBufLen, 0, 1000)
+	sw, err := RunSweep(context.Background(), cfg, []float64{0.25, 0.5, 1, 4}, func(ctx context.Context, c Config) (*Report, error) {
+		return Run(ctx, c, boot)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,11 +405,32 @@ func TestProgressTicksAndShardCompletions(t *testing.T) {
 func TestNilProgressMeterIsFree(t *testing.T) {
 	// The disabled state is the nil receiver: per-request metering on the
 	// hot path must not allocate or tick anything.
-	var m *progressMeter
+	var m *workpool.Meter[Progress]
+	out := Outcome{Cycles: 123, Crashed: true}
 	if n := testing.AllocsPerRun(100, func() {
-		m.request(Outcome{Cycles: 123})
-		m.shardDone(nil)
+		m.Tick(func(p *Progress) {
+			if out.Crashed {
+				p.Crashes++
+			}
+		})
+		m.Flush(func(p *Progress) { p.ShardsDone++ })
 	}); n != 0 {
 		t.Fatalf("nil meter allocated %.0f times per request", n)
+	}
+}
+
+// TestMergeRejectsMalformedPartial: a worker's partial crosses a trust
+// boundary, so a class count that does not match the mix is a typed error,
+// never an index panic in the merge.
+func TestMergeRejectsMalformedPartial(t *testing.T) {
+	cfg := baseConfig(mixedMix(t))
+	parts, err := RunShards(context.Background(), cfg, fakeBoot(fakeBufLen, 0x41, 1000), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts[1].Classes = parts[1].Classes[:1]
+	rep, err := MergePartials(cfg, parts)
+	if !errors.Is(err, ErrMalformedPartial) || rep != nil {
+		t.Fatalf("merge of a short-classes partial = %v, %v; want ErrMalformedPartial", rep, err)
 	}
 }

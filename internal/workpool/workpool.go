@@ -18,29 +18,6 @@ import (
 	"sync"
 )
 
-// Snapshot reports the pool's progress at one unit completion: Done units
-// have finished (successfully or accounted out-of-band), out of Total.
-type Snapshot struct {
-	Done, Total int
-}
-
-// Option adjusts one Run call.
-type Option func(*runConfig)
-
-type runConfig struct {
-	progress func(Snapshot)
-}
-
-// WithProgress installs a progress callback invoked after every completed
-// unit, serialized by the pool (never two calls at once) so observers need
-// no locking of their own. The nil-progress path is allocation-free: engines
-// leave their streaming hooks threaded through unconditionally and pay only
-// a nil check when nobody listens. The callback must not block — it runs on
-// a worker goroutine between units.
-func WithProgress(fn func(Snapshot)) Option {
-	return func(c *runConfig) { c.progress = fn }
-}
-
 // Run dispatches unit indices 0..units-1 to a pool of workers goroutines.
 // run's contract: return nil when the unit completed (including units whose
 // failure the engine accounts out-of-band, like oracle infrastructure
@@ -52,20 +29,16 @@ func WithProgress(fn func(Snapshot)) Option {
 // Run returns the first fatal error, or ctx.Err() when the context was
 // cancelled, or nil. Units that never ran simply left their slots untouched;
 // partial merges over those slots are the caller's cancellation story.
-func Run(ctx context.Context, units, workers int, run func(ctx context.Context, unit int) error, opts ...Option) error {
-	return RunRange(ctx, 0, units, workers, run, opts...)
+func Run(ctx context.Context, units, workers int, run func(ctx context.Context, unit int) error) error {
+	return RunRange(ctx, 0, units, workers, run)
 }
 
 // RunRange is Run over the unit subrange [lo, hi) — the leasing seam the
 // distributed fabric shards on. Unit indices keep their global meaning (a
 // worker handed the lease [8, 12) runs units 8..11, so per-unit derived
 // state like rng streams and budget shares is identical to the single-range
-// run); progress snapshots count within the lease (Total = hi-lo).
-func RunRange(ctx context.Context, lo, hi, workers int, run func(ctx context.Context, unit int) error, opts ...Option) error {
-	var cfg runConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+// run).
+func RunRange(ctx context.Context, lo, hi, workers int, run func(ctx context.Context, unit int) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -74,7 +47,6 @@ func RunRange(ctx context.Context, lo, hi, workers int, run func(ctx context.Con
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		fatalErr error
-		done     int
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -86,13 +58,6 @@ func RunRange(ctx context.Context, lo, hi, workers int, run func(ctx context.Con
 				}
 				err := runTimed(ctx, unit, run)
 				if err == nil {
-					if cfg.progress != nil {
-						mu.Lock()
-						done++
-						snap := Snapshot{Done: done, Total: hi - lo}
-						cfg.progress(snap)
-						mu.Unlock()
-					}
 					continue
 				}
 				if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {

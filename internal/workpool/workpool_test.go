@@ -44,51 +44,55 @@ func TestRunFatalErrorCancelsPool(t *testing.T) {
 	}
 }
 
-func TestWithProgressObservesEveryCompletion(t *testing.T) {
-	const units = 23
-	var (
-		mu    sync.Mutex
-		snaps []Snapshot
-	)
-	err := Run(context.Background(), units, 4, func(ctx context.Context, unit int) error {
-		return nil
-	}, WithProgress(func(s Snapshot) {
-		// The pool serializes callbacks, but keep the slice append safe
-		// against the test's own final read anyway.
-		mu.Lock()
-		snaps = append(snaps, s)
-		mu.Unlock()
-	}))
-	if err != nil {
-		t.Fatal(err)
+// TestMeterTicksAndFlushes: the meter calls back every `every` ticks and on
+// every flush, with the tally folded so far; adds ride along silently, and
+// concurrent ticks are serialized.
+func TestMeterTicksAndFlushes(t *testing.T) {
+	type tally struct{ ticks, adds, flushes int }
+	var snaps []tally // appended by the serialized callback only
+	m := NewMeter(func(p tally) { snaps = append(snaps, p) }, 4, tally{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				m.Tick(func(p *tally) { p.ticks++ })
+				m.Add(func(p *tally) { p.adds++ })
+			}
+		}()
 	}
-	if len(snaps) != units {
-		t.Fatalf("got %d progress snapshots, want %d", len(snaps), units)
+	wg.Wait()
+	m.Flush(func(p *tally) { p.flushes++ })
+	if len(snaps) != 24/4+1 {
+		t.Fatalf("%d callbacks for 24 ticks every 4 plus a flush, want 7", len(snaps))
 	}
-	// Done is monotonically increasing 1..units because the pool serializes
-	// the callback under its completion lock.
-	for i, s := range snaps {
-		if s.Done != i+1 || s.Total != units {
-			t.Fatalf("snapshot %d = %+v, want Done=%d Total=%d", i, s, i+1, units)
+	for i, s := range snaps[:6] {
+		if s.ticks != 4*(i+1) {
+			t.Fatalf("callback %d saw %d ticks, want %d", i, s.ticks, 4*(i+1))
 		}
+	}
+	if last := snaps[6]; last != (tally{24, 24, 1}) {
+		t.Fatalf("flush saw %+v, want every tick, add and the flush", last)
+	}
+	if NewMeter[tally](nil, 4, tally{}) != nil {
+		t.Fatal("a meter without a callback must be the nil (disabled) meter")
 	}
 }
 
-func TestNilProgressPathAllocationFree(t *testing.T) {
-	// The progress hook is threaded through unconditionally; with no
-	// listener the per-unit cost must stay a nil check. Exercise the
-	// completion path with a single worker (no goroutine churn inside the
-	// measured region is impossible — Run spawns workers — so measure the
-	// delta against a progress-carrying run instead).
-	base := testing.AllocsPerRun(100, func() {
-		_ = Run(context.Background(), 4, 1, func(ctx context.Context, unit int) error { return nil })
-	})
-	withNil := testing.AllocsPerRun(100, func() {
-		var opts []Option
-		_ = Run(context.Background(), 4, 1, func(ctx context.Context, unit int) error { return nil }, opts...)
-	})
-	if withNil > base {
-		t.Fatalf("nil-progress run allocates more than baseline: %v > %v", withNil, base)
+// TestNilMeterAllocationFree: the disabled meter is the nil receiver, so
+// an engine with no listener pays one pointer check per call — no
+// allocation even for closures that capture per-call state.
+func TestNilMeterAllocationFree(t *testing.T) {
+	var m *Meter[int]
+	n := 0
+	if a := testing.AllocsPerRun(100, func() {
+		n++
+		m.Tick(func(p *int) { *p += n })
+		m.Add(func(p *int) { *p += n })
+		m.Flush(func(p *int) { *p += n })
+	}); a != 0 {
+		t.Fatalf("nil meter allocated %.0f times per call", a)
 	}
 }
 

@@ -27,9 +27,9 @@ type CampaignPartial = campaign.Partial
 
 // LoadPlan is a workload's resolved engine configuration; see
 // loadgen.Config. It is resolved but not normalized — callers normalize
-// per run (via its Normalize method), which matters for sweeps: each sweep
-// point scales the resolved scenario with loadgen.Scale and then
-// normalizes, exactly as LoadSweep does.
+// per run (via its Normalize method), which matters for sweeps: the sweep
+// loop scales the resolved scenario per point and each point normalizes
+// after scaling.
 type LoadPlan = loadgen.Config
 
 // LoadPartial is the wire-form result of one workload shard; see

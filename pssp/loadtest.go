@@ -276,5 +276,8 @@ func (m *Machine) LoadSweep(ctx context.Context, img *Image, cfg WorkloadConfig,
 	if err != nil {
 		return nil, err
 	}
-	return loadgen.RunSweep(ctx, lc, multipliers, m.bootShards(img, lc.Seed))
+	boot := m.bootShards(img, lc.Seed)
+	return loadgen.RunSweep(ctx, lc, multipliers, func(ctx context.Context, point loadgen.Config) (*LoadReport, error) {
+		return loadgen.Run(ctx, point, boot)
+	})
 }
