@@ -139,20 +139,59 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
+	// params maps the flag surface onto the fabric's submit shape — the
+	// same daemon wire params the single-process CLIs send, so the one-shot
+	// and -submit paths resolve the scenario those CLIs do. It runs only
+	// for verbs that submit a job.
+	params := func() (fabric.SubmitParams, error) {
+		p := fabric.SubmitParams{Kind: *job}
+		switch *job {
+		case "campaign":
+			p.Attack = &daemon.AttackParams{
+				Target: *target, Scheme: *scheme, Strategy: *strategy,
+				Budget: *budget, Repeats: *repeats, Workers: *jobWorkers, Seed: *seed,
+			}
+		case "loadtest":
+			mix, err := cliutil.ParseMix(*mixSpec)
+			if err != nil {
+				return p, err
+			}
+			multipliers, err := cliutil.ParseSweep(*sweep)
+			if err != nil {
+				return p, err
+			}
+			p.Load = &daemon.LoadParams{
+				App: *app, Scheme: *scheme, Mix: mix, Arrivals: *arrivals,
+				Rate: *rate, Clients: *clients, ThinkCycles: *think,
+				Requests: *requests, DurationCycles: *duration,
+				Shards: *shards, Workers: *jobWorkers, Budget: *probes,
+				Sweep: multipliers, Seed: *seed,
+			}
+		case "fuzz":
+			seeds, err := cliutil.ParseByteItems(*seedSpec)
+			if err != nil {
+				return p, fmt.Errorf("seeds %w", err)
+			}
+			tokens, err := cliutil.ParseByteItems(*dict)
+			if err != nil {
+				return p, fmt.Errorf("dict %w", err)
+			}
+			p.Fuzz = &daemon.FuzzParams{
+				App: *app, Scheme: *scheme, Seeds: seeds, Dict: tokens,
+				Execs: *execs, Shards: *shards, Workers: *jobWorkers,
+				MaxInput: *maxIn, Seed: *seed, CorpusDir: *corpus, UntilStall: *stall,
+			}
+		default:
+			return p, fmt.Errorf("unknown -job %q (want campaign, loadtest or fuzz)", *job)
+		}
+		return p, nil
+	}
+
 	if *remote != "" {
 		if err := runRemote(ctx, *remote, remoteArgs{
 			submit: *submit, status: *status, cancel: *cancelJob,
 			aggregate: *aggregate, stats: *stats, watch: *watch, id: *id, jsonOut: *jsonOut,
-			params: func() (fabric.SubmitParams, error) {
-				return submitParams(*job, *corpus, *stall, jobFlags{
-					scheme: *scheme, seed: *seed, target: *target, strategy: *strategy,
-					budget: *budget, repeats: *repeats, jobWorkers: *jobWorkers,
-					app: *app, mixSpec: *mixSpec, arrivals: *arrivals, rate: *rate,
-					clients: *clients, think: *think, requests: *requests,
-					duration: *duration, shards: *shards, probes: *probes, sweep: *sweep,
-					seedSpec: *seedSpec, dict: *dict, execs: *execs, maxIn: *maxIn,
-				})
-			},
+			params: params,
 		}); err != nil {
 			fail(err)
 		}
@@ -238,14 +277,7 @@ func main() {
 		fail(err)
 	}
 
-	p, err := submitParams(*job, *corpus, *stall, jobFlags{
-		scheme: *scheme, seed: *seed, target: *target, strategy: *strategy,
-		budget: *budget, repeats: *repeats, jobWorkers: *jobWorkers,
-		app: *app, mixSpec: *mixSpec, arrivals: *arrivals, rate: *rate,
-		clients: *clients, think: *think, requests: *requests,
-		duration: *duration, shards: *shards, probes: *probes, sweep: *sweep,
-		seedSpec: *seedSpec, dict: *dict, execs: *execs, maxIn: *maxIn,
-	})
+	p, err := params()
 	if err != nil {
 		fail(err)
 	}
@@ -262,82 +294,9 @@ func main() {
 	}
 }
 
-// jobFlags carries the parsed per-job flag values into the params builder,
-// so the one-shot and -submit paths build byte-identical wire params.
-type jobFlags struct {
-	scheme     string
-	seed       uint64
-	target     string
-	strategy   string
-	budget     int
-	repeats    int
-	jobWorkers int
-	app        string
-	mixSpec    string
-	arrivals   string
-	rate       float64
-	clients    int
-	think      float64
-	requests   int
-	duration   uint64
-	shards     int
-	probes     int
-	sweep      string
-	seedSpec   string
-	dict       string
-	execs      int
-	maxIn      int
-}
-
-// submitParams maps the flag surface onto the fabric's submit shape — the
-// same daemon wire params the original CLIs send, so normalization (and
-// therefore the resolved scenario) is shared with them.
-func submitParams(job, corpus string, stall int, f jobFlags) (fabric.SubmitParams, error) {
-	p := fabric.SubmitParams{Kind: job, CorpusDir: corpus, UntilStall: stall}
-	switch job {
-	case "campaign":
-		p.Attack = &daemon.AttackParams{
-			Target: f.target, Scheme: f.scheme, Strategy: f.strategy,
-			Budget: f.budget, Repeats: f.repeats, Workers: f.jobWorkers, Seed: f.seed,
-		}
-	case "loadtest":
-		mix, err := cliutil.ParseMix(f.mixSpec)
-		if err != nil {
-			return p, err
-		}
-		multipliers, err := cliutil.ParseSweep(f.sweep)
-		if err != nil {
-			return p, err
-		}
-		p.Load = &daemon.LoadParams{
-			App: f.app, Scheme: f.scheme, Mix: mix, Arrivals: f.arrivals,
-			Rate: f.rate, Clients: f.clients, ThinkCycles: f.think,
-			Requests: f.requests, DurationCycles: f.duration,
-			Shards: f.shards, Workers: f.jobWorkers, Budget: f.probes,
-			Sweep: multipliers, Seed: f.seed,
-		}
-	case "fuzz":
-		seeds, err := cliutil.ParseByteItems(f.seedSpec)
-		if err != nil {
-			return p, fmt.Errorf("seeds %w", err)
-		}
-		tokens, err := cliutil.ParseByteItems(f.dict)
-		if err != nil {
-			return p, fmt.Errorf("dict %w", err)
-		}
-		p.Fuzz = &daemon.FuzzParams{
-			App: f.app, Scheme: f.scheme, Seeds: seeds, Dict: tokens,
-			Execs: f.execs, Shards: f.shards, Workers: f.jobWorkers,
-			MaxInput: f.maxIn, Seed: f.seed,
-		}
-	default:
-		return p, fmt.Errorf("unknown -job %q (want campaign, loadtest or fuzz)", job)
-	}
-	return p, nil
-}
-
 // runOneShot executes one fabric job on coord and emits its report in the
-// exact shape the matching original CLI emits.
+// exact shape, and through the same renderer, as the matching
+// single-process CLI.
 func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitParams, jsonOut bool) error {
 	res, err := coord.Run(ctx, p)
 	if err != nil {
@@ -348,24 +307,13 @@ func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitP
 	}
 	switch rep := res.(type) {
 	case *daemon.AttackReport:
-		fmt.Printf("campaign %s: %d/%d successes (rate %.2f), %d oracle calls, detection rate %.3f\n",
-			rep.Target, rep.Successes, rep.Completed, rep.SuccessRate, rep.OracleCalls, rep.DetectRate)
+		cliutil.PrintAttack(*rep)
 	case *pssp.LoadSweepReport:
-		for _, pt := range rep.Points {
-			fmt.Printf("sweep x%-5g offered %.3f achieved %.3f goodput %.3f/Mcycle\n",
-				pt.Multiplier, pt.Report.OfferedPerMcycle, pt.Report.AchievedPerMcycle, pt.Report.GoodputPerMcycle)
-		}
-		fmt.Printf("knee multiplier: x%g\n", rep.KneeMultiplier)
+		cliutil.PrintSweep(rep, *p.Load)
 	case *pssp.LoadReport:
-		fmt.Printf("loadtest %s: %d ok / %d requests, achieved %.3f/Mcycle, goodput %.3f/Mcycle\n",
-			rep.Label, rep.OK, rep.Requests, rep.AchievedPerMcycle, rep.GoodputPerMcycle)
+		cliutil.PrintLoad(rep)
 	case daemon.FuzzResult:
-		fmt.Printf("fuzz %s: %d execs, %d edges (frontier %016x), corpus %d, %d finding(s)\n",
-			rep.Label, rep.Execs, rep.Edges, rep.CoverageHash, rep.CorpusSize, len(rep.Findings))
-		if sum := rep.UntilStall; sum != nil {
-			fmt.Printf("  continuous: frontier stalled after %d round(s), %d total execs\n",
-				sum.Rounds, sum.TotalExecs)
-		}
+		cliutil.PrintFuzz(rep, *p.Fuzz, 0)
 	}
 	return nil
 }

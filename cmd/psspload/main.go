@@ -6,6 +6,12 @@
 // crash/detection counters. All in victim cycles: for a fixed -seed the
 // report is bit-identical at any -workers count.
 //
+// Every run is a loadtest job on a psspd daemon: with -remote the daemon at
+// that address, otherwise one served in process (over a pipe, with -store
+// as its artifact store). It is the same job path either way, so for a
+// fixed explicit -seed the output (including -json) is byte-identical;
+// -seed 0 draws the seed from the tenant's stream.
+//
 // Usage:
 //
 //	psspload -app nginx -arrivals poisson -rate 20 -requests 512
@@ -45,45 +51,6 @@ import (
 	"repro/internal/daemon/client"
 	"repro/pssp"
 )
-
-func us(cycles uint64) string {
-	return fmt.Sprintf("%.3f", float64(cycles)/pssp.CyclesPerMicrosecond)
-}
-
-func printReport(rep *pssp.LoadReport) {
-	fmt.Printf("%s: %s over %d shard(s)\n", rep.Label, rep.Arrivals, rep.Shards)
-	fmt.Printf("  requests %d (ok %d, crashes %d, detections %d), virtual duration %d cycles\n",
-		rep.Requests, rep.OK, rep.Crashes, rep.Detections, rep.DurationCycles)
-	fmt.Printf("  throughput: offered %.3f/Mcycle, achieved %.3f/Mcycle (efficiency %.3f), goodput %.3f/Mcycle\n",
-		rep.OfferedPerMcycle, rep.AchievedPerMcycle, rep.Efficiency(), rep.GoodputPerMcycle)
-	l := rep.Latency
-	fmt.Printf("  latency µs @3.5GHz: mean %.3f  p50 %s  p90 %s  p99 %s  p99.9 %s  max %s\n",
-		l.MeanCycles/pssp.CyclesPerMicrosecond, us(l.P50), us(l.P90), us(l.P99), us(l.P999), us(l.Max))
-	if rep.ProbeReplications > 0 {
-		fmt.Printf("  probes: %d attack replications completed, %d recovered the canary\n",
-			rep.ProbeReplications, rep.ProbeSuccesses)
-	}
-	for _, c := range rep.Classes {
-		fmt.Printf("  class %-12s %5d req, %4d crashes, %4d detections, p50 %s µs, p99 %s µs\n",
-			c.Name, c.Requests, c.Crashes, c.Detections, us(c.Latency.P50), us(c.Latency.P99))
-	}
-}
-
-func printSweep(sw *pssp.LoadSweepReport, app, arrivals string, s pssp.Scheme) {
-	fmt.Printf("sweep %s (%s, scheme %s): %d points\n", app, arrivals, s, len(sw.Points))
-	for _, pt := range sw.Points {
-		rep := pt.Report
-		fmt.Printf("  x%-5g offered %8.3f/Mcycle  achieved %8.3f/Mcycle  eff %.3f  p99 %s µs\n",
-			pt.Multiplier, rep.OfferedPerMcycle, rep.AchievedPerMcycle,
-			rep.Efficiency(), us(rep.Latency.P99))
-	}
-	if sw.KneeMultiplier > 0 {
-		fmt.Printf("saturation knee: x%g (largest multiplier with efficiency >= %.2f)\n",
-			sw.KneeMultiplier, pssp.KneeEfficiency)
-	} else {
-		fmt.Println("saturation knee: not located (closed loop, or all points past the knee)")
-	}
-}
 
 // smokeReport is the -smoke output: wall-clock job latency over real client
 // connections plus the daemon's pool/store effectiveness counters. Unlike
@@ -214,10 +181,10 @@ func main() {
 		budget   = flag.Int("budget", 64, "probe trials per attack replication")
 		sweep    = flag.String("sweep", "", "offered-load multipliers, e.g. '0.5,1,2,4' (locates the saturation knee)")
 		jsonOut  = flag.Bool("json", false, "emit one machine-readable JSON object")
-		seed     = flag.Uint64("seed", 1, "simulation seed")
+		seed     = flag.Uint64("seed", 1, "simulation seed (0 = drawn from the tenant's seed stream)")
 		storeDir = flag.String("store", "", "content-addressed artifact store directory (local runs; empty = compile in-process)")
 		remote   = flag.String("remote", "", "run on a psspd daemon at this address (unix:/path or host:port)")
-		tenant   = flag.String("tenant", "", "tenant name for -remote (default \"default\")")
+		tenant   = flag.String("tenant", "", "tenant name presented to the daemon (default \"default\")")
 		smoke    = flag.Int("smoke", 0, "daemon smoke mode: push this many boot jobs over real connections and report wall-clock latency + pool hit rate (requires -remote)")
 		conns    = flag.Int("conns", 4, "client connections for -smoke")
 	)
@@ -236,21 +203,12 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// One wire-param set drives both paths, so a local run and a -remote
-	// job resolve the same scenario.
 	p := daemon.LoadParams{
 		App: *app, Scheme: s.String(), Mix: mix, Arrivals: *arrivals,
 		Rate: *rate, Clients: *clients, ThinkCycles: *think,
 		Requests: *requests, DurationCycles: *duration,
 		Shards: *shards, Workers: *workers, Budget: *budget,
 		Sweep: multipliers, Seed: *seed,
-	}
-	cfg, err := daemon.LoadWorkload(p, "", *seed)
-	if err != nil {
-		fail(err)
-	}
-	if *remote != "" && *storeDir != "" {
-		fail(fmt.Errorf("-store applies to local runs; a psspd daemon manages its own store (psspd -store)"))
 	}
 
 	if *smoke > 0 {
@@ -263,83 +221,32 @@ func main() {
 		return
 	}
 
-	if *remote != "" {
-		c, err := client.Dial(*remote)
-		if err != nil {
-			fail(err)
-		}
-		defer c.Close()
-		var res daemon.LoadResult
-		if err := c.Call(context.Background(), "loadtest", p, &res, client.WithTenant(*tenant)); err != nil {
-			fail(err)
-		}
-		if res.Canceled {
-			fmt.Fprintln(os.Stderr, "psspload: job canceled; partial report follows")
-		}
-		// The inner report is emitted bare, so remote -json output matches
-		// the local run byte for byte at a fixed seed.
-		if res.Sweep != nil {
-			if *jsonOut {
-				if err := cliutil.EmitJSON(os.Stdout, res.Sweep); err != nil {
-					fail(err)
-				}
-				return
-			}
-			printSweep(res.Sweep, *app, *arrivals, s)
-			return
-		}
-		if *jsonOut {
-			if err := cliutil.EmitJSON(os.Stdout, res.Report); err != nil {
-				fail(err)
-			}
-			return
-		}
-		printReport(res.Report)
-		return
-	}
-
-	opts := []pssp.Option{
-		pssp.WithSeed(*seed),
-		pssp.WithScheme(s),
-		pssp.WithAttackBudget(*budget),
-	}
-	if *storeDir != "" {
-		st, err := pssp.OpenStore(*storeDir)
-		if err != nil {
-			fail(err)
-		}
-		opts = append(opts, pssp.WithStore(st))
-	}
-	m := pssp.NewMachine(opts...)
-	ctx := context.Background()
-	img, err := m.Pipeline().CompileApp(*app).Image()
+	c, stop, err := cliutil.Connect("psspload", *remote, *storeDir)
 	if err != nil {
 		fail(err)
 	}
-	if len(multipliers) > 0 {
-		sw, err := m.LoadSweep(ctx, img, cfg, multipliers)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			if err := cliutil.EmitJSON(os.Stdout, sw); err != nil {
-				fail(err)
-			}
-			return
-		}
-		printSweep(sw, *app, *arrivals, s)
-		return
-	}
-
-	rep, err := m.LoadTest(ctx, img, cfg)
-	if err != nil {
+	defer stop()
+	var res daemon.LoadResult
+	if err := c.Call(context.Background(), "loadtest", p, &res, client.WithTenant(*tenant)); err != nil {
 		fail(err)
 	}
-	if *jsonOut {
-		if err := cliutil.EmitJSON(os.Stdout, rep); err != nil {
+	if res.Canceled {
+		fmt.Fprintln(os.Stderr, "psspload: job canceled; partial report follows")
+	}
+	// The inner report is emitted bare: the -json shape of a single
+	// workload is the LoadReport, of a sweep the LoadSweepReport.
+	var out any = res.Report
+	if res.Sweep != nil {
+		out = res.Sweep
+	}
+	switch {
+	case *jsonOut:
+		if err := cliutil.EmitJSON(os.Stdout, out); err != nil {
 			fail(err)
 		}
-		return
+	case res.Sweep != nil:
+		cliutil.PrintSweep(res.Sweep, p)
+	default:
+		cliutil.PrintLoad(res.Report)
 	}
-	printReport(rep)
 }

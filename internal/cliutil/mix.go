@@ -34,7 +34,8 @@ func ParseWeighted(spec string) ([]WeightedItem, error) {
 // LAST colon and treats the suffix as a weight only when it is entirely
 // digits, so payload tokens may themselves contain colons ("Host:",
 // "HTTP/1.1:2" = token "HTTP/1.1" twice); a digits-but-zero suffix is still
-// a weight error, never a silent literal.
+// a weight error, never a silent literal, and an empty payload (":3") is an
+// error naming the item as typed.
 func parseWeighted(spec string, loose bool) ([]WeightedItem, error) {
 	var out []WeightedItem
 	for _, item := range strings.Split(spec, ",") {
@@ -60,7 +61,11 @@ func parseWeighted(spec string, loose bool) ([]WeightedItem, error) {
 				weight = w
 			}
 		}
-		out = append(out, WeightedItem{Name: strings.TrimSpace(name), Weight: weight})
+		name = strings.TrimSpace(name)
+		if loose && name == "" {
+			return nil, fmt.Errorf("item %q: empty payload", item)
+		}
+		out = append(out, WeightedItem{Name: name, Weight: weight})
 	}
 	return out, nil
 }
@@ -149,9 +154,6 @@ func ParseByteItems(spec string) ([][]byte, error) {
 	}
 	var out [][]byte
 	for _, it := range items {
-		if it.Name == "" {
-			return nil, fmt.Errorf("item %q: empty payload", it.Name)
-		}
 		for i := 0; i < it.Weight; i++ {
 			out = append(out, []byte(it.Name))
 		}

@@ -78,8 +78,9 @@ func TestParseByteItems(t *testing.T) {
 	if len(got) != 3 || string(got[0]) != "GET /" || string(got[1]) != "GET /" || string(got[2]) != "PING" {
 		t.Fatalf("got %q", got)
 	}
-	if _, err := ParseByteItems(":2"); err == nil {
-		t.Fatal("empty payload accepted")
+	// The empty-payload error quotes the item as typed, not its emptied name.
+	if _, err := ParseByteItems("GET /, :3"); err == nil || !strings.Contains(err.Error(), `item ":3": empty payload`) {
+		t.Fatalf("empty payload: err = %v", err)
 	}
 	if _, err := ParseByteItems("x:0"); err == nil {
 		t.Fatal("zero weight accepted")

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -184,16 +183,7 @@ func (d *Daemon) Serve(lis net.Listener) error {
 			}
 			return err
 		}
-		d.lisMu.Lock()
-		if d.isClosed() {
-			d.lisMu.Unlock()
-			conn.Close()
-			return nil
-		}
-		d.conns[conn] = struct{}{}
-		d.wg.Add(1)
-		d.lisMu.Unlock()
-		go d.serveConn(conn)
+		go d.ServeConn(conn)
 	}
 }
 
@@ -477,18 +467,23 @@ func badRequest(format string, args ...any) error {
 // maxLine bounds one request line (fuzz corpora ride in requests).
 const maxLine = 8 << 20
 
-// serveConn runs one connection: a read loop dispatching each request into
-// its own goroutine, a per-connection cancel registry for the cancel
-// method, and connection teardown canceling everything it started.
-func (d *Daemon) serveConn(conn net.Conn) {
-	d.serveStream(conn, conn)
-}
-
-// serveStream is serveConn reading requests from r — which is conn itself
-// on accepted connections, and the join handshake's buffered reader on a
-// worker's outbound connection (so no bytes the handshake read ahead are
-// lost).
-func (d *Daemon) serveStream(conn net.Conn, r io.Reader) {
+// ServeConn serves one established connection until it drops or the
+// daemon shuts down: a read loop dispatching each request into its own
+// goroutine, a per-connection cancel registry for the cancel method, and
+// teardown canceling everything it started. It is the one place a
+// connection is registered for Shutdown — behind Serve's accepted
+// connections, a worker's outbound join, and an in-process client's pipe.
+// It returns ErrShutdown (closing conn) once the daemon is draining.
+func (d *Daemon) ServeConn(conn net.Conn) error {
+	d.lisMu.Lock()
+	if d.isClosed() {
+		d.lisMu.Unlock()
+		conn.Close()
+		return ErrShutdown
+	}
+	d.conns[conn] = struct{}{}
+	d.wg.Add(1)
+	d.lisMu.Unlock()
 	defer d.wg.Done()
 	defer func() {
 		d.lisMu.Lock()
@@ -510,7 +505,7 @@ func (d *Daemon) serveStream(conn net.Conn, r io.Reader) {
 	)
 	defer reqWG.Wait()
 
-	sc := bufio.NewScanner(r)
+	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -570,6 +565,7 @@ func (d *Daemon) serveStream(conn net.Conn, r io.Reader) {
 			d.dispatch(jctx, w, req)
 		}(req)
 	}
+	return nil
 }
 
 // unmarshalParams decodes params strictly; a nil raw decodes to the zero

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/store"
 	"repro/pssp"
 )
 
@@ -401,8 +403,8 @@ func TestEngineJobsSkipWarmPool(t *testing.T) {
 }
 
 // TestShardJobRejections: every shard method rejects a derived seed, a bad
-// range and an unknown scheme (and loadshard a sweep) as a bad request,
-// before admission.
+// range and an unknown scheme (and loadshard a sweep, fuzzshard continuous
+// mode) as a bad request, before admission.
 func TestShardJobRejections(t *testing.T) {
 	// params builds one shard method's lease params.
 	params := func(method string, seed uint64, scheme string, lo, hi int) any {
@@ -431,6 +433,7 @@ func TestShardJobRejections(t *testing.T) {
 		reject("unknown scheme", m, params(m, 3, "no-such-scheme", 0, 1))
 	}
 	reject("sweep", "loadshard", LoadShardParams{LoadParams: LoadParams{Seed: 3, Sweep: []float64{1, 2}}, Lo: 0, Hi: 1})
+	reject("until-stall", "fuzzshard", FuzzShardParams{FuzzParams: FuzzParams{Seed: 3, UntilStall: 2}, Lo: 0, Hi: 1})
 	if n := d.met.admitted.Load(); n != 0 {
 		t.Errorf("%d rejected shard job(s) were admitted", n)
 	}
@@ -501,6 +504,36 @@ func TestCancelMidJobReturnsFlaggedPartial(t *testing.T) {
 		if cost == 0 {
 			t.Errorf("%s: partial job charged no cycles", j.name)
 		}
+	}
+}
+
+// TestCanceledFuzzJobFoldsCorpus: a whole fuzz job with a corpus, canceled
+// mid-run, answers with a Canceled partial and still folds that partial's
+// discoveries into the corpus.
+func TestCanceledFuzzJobFoldsCorpus(t *testing.T) {
+	d := New(Config{})
+	defer d.Shutdown(context.Background())
+	dir := filepath.Join(t.TempDir(), "corpus")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := FuzzParams{Scheme: "ssp", Execs: 100000, Shards: 1, Workers: 1, Seed: 9, CorpusDir: dir}
+	res, err := d.Do(ctx, "t", "fuzz", p, func(ProgressEvent) { cancel() })
+	if err != nil {
+		t.Fatalf("canceled job should return a partial result, got error %v", err)
+	}
+	if fr := res.(FuzzResult); !fr.Canceled || fr.Execs == 0 || fr.Execs >= p.Execs {
+		t.Fatalf("want a canceled partial, got canceled=%v execs=%d", fr.Canceled, fr.Execs)
+	}
+	corp, err := store.OpenCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, frontier, err := corp.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inputs) == 0 || frontier == nil {
+		t.Errorf("canceled run left %d corpus input(s), frontier saved %v", len(inputs), frontier != nil)
 	}
 }
 

@@ -3,12 +3,11 @@ package daemon
 import "repro/pssp"
 
 // Wire-param normalization and the one params→facade-config mapping per job
-// kind, shared by the per-kind plans (plan.go) and range runs (shards.go)
-// and the CLIs' local paths. A coordinator plans a job
-// from the same normalized params a worker executes a lease from, so the
-// two resolve the same scenario by construction — the defaults here are
-// psspattack/psspload/psspfuzz's flag defaults, which is what keeps daemon
-// jobs byte-identical to CLI runs.
+// kind, shared by the per-kind plans (plan.go) and range runs (shards.go).
+// A coordinator plans a job from the same normalized params a worker
+// executes a lease from, so the two resolve the same scenario by
+// construction — the defaults here are psspattack/psspload/psspfuzz's flag
+// defaults, so a job that leaves a knob unset runs what the CLI would.
 
 // NormalizeAttackParams applies psspattack's flag defaults (Seed excepted:
 // 0 keeps meaning "derive from the tenant stream" for whole jobs, and is

@@ -2,8 +2,11 @@ package daemon
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/loadgen"
+	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/pssp"
 )
 
@@ -110,6 +113,53 @@ func RunLoad(ctx context.Context, m *pssp.Machine, img *pssp.Image, p LoadParams
 	}
 	sw, err := loadgen.RunSweep(ctx, base, p.Sweep, point)
 	return LoadResult{Sweep: sw}, err
+}
+
+// RunFuzz runs the fuzz job of normalized params p (explicit seed) against
+// img: one round, or with UntilStall > 0 the continuous mode's rounds
+// through the one until-stall loop (pssp.FuzzUntilStall). With CorpusDir
+// its saved inputs join the seeds and its frontier becomes the round's
+// BaseVirgin, reloaded before every continuous round; each round's ranges
+// fold their discoveries back in. run is the transport's range runner; it
+// executes each round's plan. Round lines go to ctx's flight-recorder
+// trace. On error the result holds the last completed round.
+func RunFuzz(ctx context.Context, m *pssp.Machine, img *pssp.Image, p FuzzParams,
+	run func(context.Context, FuzzPlan) (*pssp.FuzzReport, error)) (FuzzResult, error) {
+	var corp *store.Corpus
+	if p.CorpusDir != "" {
+		var err error
+		if corp, err = store.OpenCorpus(p.CorpusDir); err != nil {
+			return FuzzResult{}, err
+		}
+	}
+	// round plans and runs one round of cfg: its seed, seed corpus and base
+	// frontier ride in the shard params the plan ships.
+	round := func(ctx context.Context, cfg pssp.FuzzConfig) (*pssp.FuzzReport, error) {
+		sp := FuzzShardParams{FuzzParams: p, BaseVirgin: cfg.BaseVirgin}
+		sp.Seed, sp.Seeds, sp.UntilStall = cfg.Seed, cfg.Seeds, 0
+		pl, err := PlanFuzz(m, img, sp)
+		if err != nil {
+			return nil, err
+		}
+		return run(ctx, pl)
+	}
+	cfg := p.FuzzConfig(p.Seed)
+	if p.UntilStall > 0 {
+		tr := obs.TraceFrom(ctx)
+		logf := func(format string, args ...any) { tr.Event("fuzz round", 0, fmt.Sprintf(format, args...)) }
+		rep, sum, err := pssp.FuzzUntilStall(ctx, cfg, p.UntilStall, corp, round, logf)
+		return FuzzResult{FuzzReport: rep, UntilStall: sum}, err
+	}
+	if corp != nil {
+		saved, frontier, err := corp.Load()
+		if err != nil {
+			return FuzzResult{}, err
+		}
+		cfg.Seeds = append(append([][]byte{}, cfg.Seeds...), saved...)
+		cfg.BaseVirgin = frontier
+	}
+	rep, err := round(ctx, cfg)
+	return FuzzResult{FuzzReport: rep}, err
 }
 
 // PlanFuzz resolves the fuzzing run sp describes — its explicit seed, seed

@@ -134,6 +134,15 @@ type FuzzParams struct {
 	Workers  int      `json:"workers,omitempty"`
 	MaxInput int      `json:"max_input,omitempty"`
 	Seed     uint64   `json:"seed,omitempty"`
+	// CorpusDir names a persistent corpus directory on the host that runs
+	// the job's ranges: its saved inputs seed the run, its frontier marks
+	// their coverage charted, and every range folds its discoveries back
+	// in.
+	CorpusDir string `json:"corpus_dir,omitempty"`
+	// UntilStall > 0 runs the job in continuous mode: exec-bounded rounds
+	// until the coverage frontier's hash is unchanged for this many
+	// consecutive rounds (see RunFuzz). Whole fuzz jobs only.
+	UntilStall int `json:"until_stall,omitempty"`
 }
 
 // RegisterParams is the first line a fabric worker sends after dialing a
@@ -189,17 +198,17 @@ type LoadShardResult struct {
 }
 
 // FuzzShardParams run fuzzing shards [Lo, Hi) of the campaign the embedded
-// FuzzParams describe. Seed must be explicit and non-zero. BaseVirgin, when
-// set, seeds every shard's coverage frontier with the coordinator's merged
-// frontier (the distributed frontier-sync path). CorpusDir, when set, names
-// a shared persistent corpus the worker flock-merges its findings into.
+// FuzzParams describe. Seed must be explicit and non-zero, and UntilStall
+// zero: a range is one round. BaseVirgin, when set, seeds every shard's
+// coverage frontier with the round's merged frontier (the frontier-sync
+// path). The embedded CorpusDir, when set, names a shared persistent corpus
+// the worker flock-merges the range's findings into.
 type FuzzShardParams struct {
 	FuzzParams
 	Label      string `json:"label,omitempty"`
 	Lo         int    `json:"lo"`
 	Hi         int    `json:"hi"`
 	BaseVirgin []byte `json:"base_virgin,omitempty"`
-	CorpusDir  string `json:"corpus_dir,omitempty"`
 }
 
 // FuzzShardResult carries the shard range's wire partials back to the
@@ -263,8 +272,8 @@ type ProgressEvent struct {
 }
 
 // AttackReport is the attack job's result — the exact shape psspattack
-// -json emits, shared so the local and remote paths cannot drift (the e2e
-// determinism contract is byte-identical JSON for a fixed seed).
+// and psspctl -job campaign emit with -json, shared so the two cannot drift
+// (the e2e determinism contract is byte-identical JSON for a fixed seed).
 type AttackReport struct {
 	Target          string  `json:"target"`
 	Scheme          string  `json:"scheme"`
@@ -307,10 +316,10 @@ type AttackOutcome struct {
 	Restarts int  `json:"restarts,omitempty"`
 }
 
-// BuildAttackReport folds a campaign aggregate into the report shape. Both
-// psspattack's local path and the attack plan's merge (daemon and fabric
-// jobs) call it, which is what makes local, remote and distributed -json
-// output byte-identical for a fixed seed.
+// BuildAttackReport folds a campaign aggregate into the report shape. The
+// attack plan's merge calls it for daemon jobs (every psspattack run, local
+// or -remote) and fabric jobs alike, which is what makes their -json output
+// byte-identical for a fixed seed.
 func BuildAttackReport(target string, scheme pssp.Scheme, seed uint64, budget, repeats, workers int, res *pssp.CampaignResult) AttackReport {
 	rep := AttackReport{
 		Target: target, Scheme: scheme.String(), Strategy: res.Label,
@@ -350,8 +359,8 @@ type FuzzResult struct {
 	TimedOut bool `json:"timed_out,omitempty"`
 	// Canceled marks a report truncated by job cancellation.
 	Canceled bool `json:"canceled,omitempty"`
-	// UntilStall summarizes a continuous run's convergence (psspfuzz and
-	// psspctl -until-stall; never set by a daemon fuzz job).
+	// UntilStall summarizes a continuous run's convergence (FuzzParams
+	// UntilStall > 0).
 	UntilStall *pssp.FuzzStallSummary `json:"until_stall,omitempty"`
 }
 

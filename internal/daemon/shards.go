@@ -103,6 +103,10 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 		if err := decode(&p.FuzzParams, &p); err != nil {
 			return nil, err
 		}
+		// Continuous mode is planned whole: each round is its own range run.
+		if !whole && p.UntilStall > 0 {
+			return nil, badRequest("fuzzshard runs one round; continuous mode (until_stall) is a whole fuzz job")
+		}
 		p.FuzzParams = NormalizeFuzzParams(p.FuzzParams)
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
 		run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
@@ -110,14 +114,16 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 		}
 		if whole {
 			run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
-				sp := p
-				sp.Seed = e.seed
-				pl, err := PlanFuzz(e.m, e.img, sp)
-				if err != nil {
-					return nil, 0, err
-				}
-				rep, cost, err := runRange(ctx, e, pl, fuzzRange)
-				return finish(FuzzResult{FuzzReport: rep, Canceled: err != nil}, rep != nil && rep.Execs > 0, cost, err)
+				fp := p.FuzzParams
+				fp.Seed = e.seed
+				var cost uint64
+				res, err := RunFuzz(ctx, e.m, e.img, fp, func(ctx context.Context, pl FuzzPlan) (*pssp.FuzzReport, error) {
+					rep, c, err := runRange(ctx, e, pl, fuzzRange)
+					cost += c
+					return rep, err
+				})
+				res.Canceled = err != nil
+				return finish(res, res.FuzzReport != nil && res.Execs > 0, cost, err)
 			}
 		}
 	default:
@@ -180,10 +186,10 @@ func loadRange(ctx context.Context, e engineEnv, p LoadShardParams) (LoadShardRe
 }
 
 // fuzzRange runs fuzzing shards [Lo, Hi) of the run p describes; its charge
-// is their victim cycles. BaseVirgin carries the coordinator's merged
-// coverage frontier into every shard (the distributed frontier-sync path);
-// CorpusDir, when set, flock-merges the range's discoveries into a shared
-// persistent corpus before the result ships.
+// is their victim cycles. BaseVirgin carries the round's merged coverage
+// frontier into every shard (the frontier-sync path); CorpusDir, when set,
+// flock-merges the range's discoveries into a shared persistent corpus
+// before the result ships — those of an interrupted range too.
 func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardResult, uint64, error) {
 	tr := obs.TraceFrom(ctx)
 	cfg := p.FuzzConfig(p.Seed)
@@ -198,26 +204,35 @@ func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardRe
 	for _, part := range parts {
 		cost += part.Cycles
 	}
-	if err != nil || p.CorpusDir == "" {
-		return res, cost, err
+	if p.CorpusDir != "" && len(parts) > 0 {
+		var ferr error
+		res.CorpusAdded, ferr = foldCorpus(e, p, res)
+		if err == nil {
+			err = ferr
+		}
 	}
-	// Fold only this range's shards into a subset report to harvest its
-	// corpus inputs and frontier; content-hash dedup makes the flock'd
-	// merge idempotent across re-issued leases.
+	return res, cost, err
+}
+
+// foldCorpus merges the shards of res into p's corpus: it folds them into a
+// subset report to harvest its corpus inputs and frontier. Content-hash
+// dedup makes the flock'd merge idempotent across re-issued leases.
+func foldCorpus(e engineEnv, p FuzzShardParams, res FuzzShardResult) (int, error) {
 	pl, err := PlanFuzz(e.m, e.img, p)
 	if err != nil {
-		return res, cost, err
+		return 0, err
 	}
 	sub, err := pl.Merge([]FuzzShardResult{res})
 	if err != nil {
-		return res, cost, err
+		return 0, err
 	}
 	corp, err := store.OpenCorpus(p.CorpusDir)
 	if err != nil {
-		return res, cost, err
+		return 0, err
 	}
-	if res.CorpusAdded, err = corp.Add(sub.CorpusInputs()); err != nil {
-		return res, cost, err
+	added, err := corp.Add(sub.CorpusInputs())
+	if err != nil {
+		return added, err
 	}
-	return res, cost, corp.SaveFrontier(sub.Frontier())
+	return added, corp.SaveFrontier(sub.Frontier())
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -79,7 +80,7 @@ func (d *Daemon) Worker(ctx context.Context, addr, name string) error {
 // and, on ack, serves it until it drops. The handshake is strictly
 // half-duplex — the worker sends one register line and the coordinator
 // sends nothing until its one-line ack — so the buffered reader cannot
-// swallow post-handshake requests; it is handed to serveStream regardless.
+// swallow post-handshake requests; ServeConn reads through it regardless.
 func (d *Daemon) join(conn net.Conn, name string) error {
 	params, err := json.Marshal(RegisterParams{Name: name, Pid: os.Getpid()})
 	if err != nil {
@@ -102,15 +103,14 @@ func (d *Daemon) join(conn net.Conn, name string) error {
 		return errors.New("daemon: register rejected: " + resp.Error.Message)
 	}
 	conn.SetDeadline(time.Time{})
-
-	d.lisMu.Lock()
-	if d.isClosed() {
-		d.lisMu.Unlock()
-		return ErrShutdown
-	}
-	d.conns[conn] = struct{}{}
-	d.wg.Add(1)
-	d.lisMu.Unlock()
-	d.serveStream(conn, br)
-	return nil
+	return d.ServeConn(bufferedConn{conn, br})
 }
+
+// bufferedConn is a connection whose reads drain a reader that may hold
+// bytes read ahead from it.
+type bufferedConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }

@@ -30,11 +30,6 @@ type SubmitParams struct {
 	Attack *daemon.AttackParams `json:"attack,omitempty"`
 	Load   *daemon.LoadParams   `json:"load,omitempty"`
 	Fuzz   *daemon.FuzzParams   `json:"fuzz,omitempty"`
-	// CorpusDir names a shared persistent corpus for fuzz jobs.
-	CorpusDir string `json:"corpus_dir,omitempty"`
-	// UntilStall > 0 runs a fuzz job in continuous mode: rounds until the
-	// frontier hash is unchanged for this many consecutive rounds.
-	UntilStall int `json:"until_stall,omitempty"`
 }
 
 // SubmitResult returns the submitted job's id.
@@ -310,16 +305,15 @@ func (c *Coordinator) Run(ctx context.Context, p SubmitParams) (any, error) {
 	switch {
 	case p.Kind == "campaign":
 		return c.Campaign(ctx, *p.Attack)
-	case p.Kind == "loadtest" && len(p.Load.Sweep) > 0:
-		return c.LoadSweep(ctx, *p.Load)
 	case p.Kind == "loadtest":
-		return c.LoadTest(ctx, *p.Load)
-	case p.UntilStall > 0:
-		rep, sum, err := c.FuzzUntilStall(ctx, *p.Fuzz, p.CorpusDir, p.UntilStall)
-		return daemon.FuzzResult{FuzzReport: rep, UntilStall: sum}, err
+		// The load report is emitted bare, as psspload -json does.
+		res, err := c.load(ctx, *p.Load)
+		if len(p.Load.Sweep) > 0 {
+			return res.Sweep, err
+		}
+		return res.Report, err
 	default:
-		rep, err := c.Fuzz(ctx, *p.Fuzz, p.CorpusDir)
-		return daemon.FuzzResult{FuzzReport: rep}, err
+		return c.fuzz(ctx, *p.Fuzz)
 	}
 }
 

@@ -85,7 +85,7 @@ func (c Config) backoff() time.Duration {
 }
 
 // Coordinator owns a set of worker connections and runs fabric jobs over
-// them. Jobs (Campaign, LoadTest, LoadSweep, Fuzz) may run concurrently;
+// them. Jobs (Run, Campaign, Fuzz) may run concurrently;
 // each worker executes one lease at a time.
 type Coordinator struct {
 	cfg Config

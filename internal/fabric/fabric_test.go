@@ -14,6 +14,7 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/fuzz"
 	"repro/internal/loadgen"
+	"repro/internal/store"
 	"repro/pssp"
 )
 
@@ -163,7 +164,7 @@ func TestLoadTestAndSweepMatchLocal(t *testing.T) {
 	}
 
 	c := coordinator(t, 2, Config{})
-	got, err := c.LoadTest(context.Background(), p)
+	got, err := c.Run(context.Background(), SubmitParams{Kind: "loadtest", Load: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestLoadTestAndSweepMatchLocal(t *testing.T) {
 	}
 	ps := p
 	ps.Sweep = []float64{0.5, 1}
-	gotSweep, err := c.LoadSweep(context.Background(), ps)
+	gotSweep, err := c.Run(context.Background(), SubmitParams{Kind: "loadtest", Load: &ps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,15 +216,70 @@ func TestFuzzMatchesLocalAndSyncsCorpus(t *testing.T) {
 
 	// The shared corpus must now hold the run's discoveries: a continuous
 	// round resuming from it stalls immediately once coverage is saturated.
-	rep, sum, err := c.FuzzUntilStall(context.Background(), p, corpusDir, 2)
+	ps := p
+	ps.CorpusDir, ps.UntilStall = corpusDir, 2
+	res, err := c.Run(context.Background(), SubmitParams{Kind: "fuzz", Fuzz: &ps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Rounds < 2 {
-		t.Errorf("until-stall ran %d rounds, want >= 2", sum.Rounds)
+	rep := res.(daemon.FuzzResult)
+	if rep.UntilStall.Rounds < 2 {
+		t.Errorf("until-stall ran %d rounds, want >= 2", rep.UntilStall.Rounds)
 	}
 	if rep.Edges < got.Edges {
 		t.Errorf("continuous frontier %d edges shrank below one-shot %d", rep.Edges, got.Edges)
+	}
+}
+
+// TestFuzzRangeRunnersAgree: a continuous fuzz job with a corpus is
+// daemon.RunFuzz under either range runner — a daemon whole job runs each
+// round in process, the coordinator leases it — so both give the same
+// report bytes and save the same input set.
+func TestFuzzRangeRunnersAgree(t *testing.T) {
+	p := daemon.FuzzParams{
+		App: "nginx-vuln", Scheme: "ssp", Execs: 192, Shards: 6, Seed: 7, UntilStall: 2,
+	}
+	saved := func(dir string) string {
+		t.Helper()
+		corp, err := store.OpenCorpus(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs, frontier, err := corp.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(inputs) == 0 || frontier == nil {
+			t.Fatalf("corpus %s holds %d input(s), frontier %v", dir, len(inputs), frontier != nil)
+		}
+		return asJSON(t, inputs) + asJSON(t, frontier)
+	}
+
+	d := daemon.New(daemon.Config{})
+	t.Cleanup(func() { d.Shutdown(context.Background()) })
+	wp := p
+	wp.CorpusDir = filepath.Join(t.TempDir(), "whole")
+	whole, err := d.Do(context.Background(), "t", "fuzz", wp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := coordinator(t, 2, Config{})
+	lp := p
+	lp.CorpusDir = filepath.Join(t.TempDir(), "leased")
+	leased, err := c.Run(context.Background(), SubmitParams{Kind: "fuzz", Fuzz: &lp})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if g, w := asJSON(t, leased), asJSON(t, whole); g != w {
+		t.Errorf("leased fuzz job differs from the daemon's whole job:\n got %s\nwant %s", g, w)
+	}
+	if whole.(daemon.FuzzResult).UntilStall == nil {
+		t.Error("continuous whole job reported no until-stall summary")
+	}
+	if g, w := saved(lp.CorpusDir), saved(wp.CorpusDir); g != w {
+		t.Error("leased and whole fuzz jobs saved different corpora")
 	}
 }
 
@@ -278,7 +334,7 @@ func TestMalformedPartialFailsJob(t *testing.T) {
 	c := New(Config{})
 	t.Cleanup(c.Close)
 	malformedWorker(t, c)
-	_, err := c.LoadTest(context.Background(), daemon.LoadParams{App: "nginx", Requests: 8, Shards: 2, Seed: 3})
+	_, err := c.Run(context.Background(), SubmitParams{Kind: "loadtest", Load: &daemon.LoadParams{App: "nginx", Requests: 8, Shards: 2, Seed: 3}})
 	if !errors.Is(err, loadgen.ErrMalformedPartial) {
 		t.Errorf("loadtest with short-classes partials: err = %v, want loadgen.ErrMalformedPartial", err)
 	}

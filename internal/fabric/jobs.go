@@ -5,7 +5,7 @@ import (
 	"errors"
 
 	"repro/internal/daemon"
-	"repro/internal/store"
+	"repro/internal/obs"
 	"repro/pssp"
 )
 
@@ -15,8 +15,10 @@ import (
 //
 // The coordinator plans each job with the daemon's per-kind plan (the one a
 // whole daemon job runs in process), leases the plan's shard ranges through
-// leaseAll, and folds the results with the plan's merge — so the reports
-// here are byte-identical to psspattack/psspload/psspfuzz at the same seed.
+// leaseAll, and folds the results with the plan's merge; load and fuzz jobs
+// drive their points and rounds through the daemon's RunLoad and RunFuzz —
+// so the reports here are byte-identical to psspattack/psspload/psspfuzz
+// at the same seed.
 
 var errSeed = errors.New("fabric: jobs require an explicit non-zero seed")
 
@@ -63,8 +65,9 @@ func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (*dae
 	return &rep, nil
 }
 
-// load runs a load job — one workload or a sweep — leasing every point's
-// shards across the workers.
+// load runs a load job — one workload or a sweep, whose knee it locates —
+// leasing every point's shards across the workers. On error the result
+// holds the sweep points completed so far.
 func (c *Coordinator) load(ctx context.Context, p daemon.LoadParams) (daemon.LoadResult, error) {
 	p = daemon.NormalizeLoadParams(p)
 	if p.Seed == 0 {
@@ -79,96 +82,38 @@ func (c *Coordinator) load(ctx context.Context, p daemon.LoadParams) (daemon.Loa
 	})
 }
 
-// LoadTest fans one workload's shards out across the workers and returns
-// the merged report — the exact shape psspload -json emits.
-func (c *Coordinator) LoadTest(ctx context.Context, p daemon.LoadParams) (*pssp.LoadReport, error) {
-	if len(p.Sweep) > 0 {
-		return nil, errors.New("fabric: LoadTest takes a single workload; use LoadSweep")
-	}
-	res, err := c.load(ctx, p)
-	return res.Report, err
-}
-
-// LoadSweep steps the scenario through p.Sweep's offered-load multipliers
-// (each point leased across the workers) and locates the saturation knee —
-// the exact report psspload -sweep -json emits. On error the points
-// completed so far are returned with it.
-func (c *Coordinator) LoadSweep(ctx context.Context, p daemon.LoadParams) (*pssp.LoadSweepReport, error) {
-	if len(p.Sweep) == 0 {
-		return nil, errors.New("fabric: sweep needs at least one multiplier")
-	}
-	res, err := c.load(ctx, p)
-	return res.Sweep, err
-}
-
 // Fuzz fans a fuzzing campaign's shards out across the workers and returns
-// the merged report — the exact shape psspfuzz -json emits. corpusDir,
-// when non-empty, mirrors psspfuzz -corpus: saved inputs seed the run, the
-// saved frontier marks their coverage charted, and every lease folds its
-// discoveries back in through the flock'd corpus.
+// the merged report — the exact shape psspfuzz -json emits. corpusDir, when
+// non-empty, sets p.CorpusDir.
 func (c *Coordinator) Fuzz(ctx context.Context, p daemon.FuzzParams, corpusDir string) (*pssp.FuzzReport, error) {
+	p.CorpusDir = corpusDir
+	res, err := c.fuzz(ctx, p)
+	return res.FuzzReport, err
+}
+
+// fuzz runs a fuzz job — one round or continuous rounds — leasing every
+// round's shards across the workers. Workers fold each round's discoveries
+// into p.CorpusDir, which resolves on their hosts. A continuous job's round
+// lines land in its own flight-recorder trace; each round's leases trace
+// under their own.
+func (c *Coordinator) fuzz(ctx context.Context, p daemon.FuzzParams) (daemon.FuzzResult, error) {
 	p = daemon.NormalizeFuzzParams(p)
 	if p.Seed == 0 {
-		return nil, errSeed
+		return daemon.FuzzResult{}, errSeed
 	}
-	cfg := p.FuzzConfig(p.Seed)
-	if corpusDir != "" {
-		corp, err := store.OpenCorpus(corpusDir)
+	m, img, err := planImage(p.App, p.Scheme, p.Seed)
+	if err != nil {
+		return daemon.FuzzResult{}, err
+	}
+	if p.UntilStall > 0 {
+		ctx = obs.ContextWithTrace(ctx, c.beginTrace("fuzz until-stall"))
+	}
+	return daemon.RunFuzz(ctx, m, img, p, func(ctx context.Context, pl daemon.FuzzPlan) (*pssp.FuzzReport, error) {
+		rep, err := leaseAll(ctx, c, "fuzz", pl)
 		if err != nil {
 			return nil, err
 		}
-		saved, frontier, err := corp.Load()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Seeds = append(append([][]byte{}, cfg.Seeds...), saved...)
-		cfg.BaseVirgin = frontier
-	}
-	return c.fuzzRound(ctx, p, cfg, corpusDir)
-}
-
-// FuzzUntilStall runs distributed fuzzing rounds until the merged coverage
-// frontier's hash is unchanged for stall consecutive rounds — the fabric's
-// continuous mode, driven by the facade's until-stall loop (shared with
-// psspfuzz -until-stall, so the two stay byte-comparable). Workers fold
-// each round's discoveries into the corpus when corpusDir is set.
-func (c *Coordinator) FuzzUntilStall(ctx context.Context, p daemon.FuzzParams, corpusDir string, stall int) (*pssp.FuzzReport, *pssp.FuzzStallSummary, error) {
-	p = daemon.NormalizeFuzzParams(p)
-	if p.Seed == 0 {
-		return nil, nil, errSeed
-	}
-	var corp *store.Corpus
-	if corpusDir != "" {
-		var err error
-		if corp, err = store.OpenCorpus(corpusDir); err != nil {
-			return nil, nil, err
-		}
-	}
-	round := func(ctx context.Context, cfg pssp.FuzzConfig) (*pssp.FuzzReport, error) {
-		return c.fuzzRound(ctx, p, cfg, corpusDir)
-	}
-	logf := func(format string, args ...any) { c.logf("fabric: fuzz "+format, args...) }
-	return pssp.FuzzUntilStall(ctx, p.FuzzConfig(p.Seed), stall, corp, round, logf)
-}
-
-// fuzzRound leases and merges one fuzzing run of cfg — Fuzz's only round,
-// or one of FuzzUntilStall's. The round's seed, seed corpus and base
-// frontier ride in the shard params the plan ships.
-func (c *Coordinator) fuzzRound(ctx context.Context, p daemon.FuzzParams, cfg pssp.FuzzConfig, corpusDir string) (*pssp.FuzzReport, error) {
-	m, img, err := planImage(p.App, p.Scheme, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sp := daemon.FuzzShardParams{FuzzParams: p, BaseVirgin: cfg.BaseVirgin, CorpusDir: corpusDir}
-	sp.Seed, sp.Seeds = cfg.Seed, cfg.Seeds
-	pl, err := daemon.PlanFuzz(m, img, sp)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := leaseAll(ctx, c, "fuzz", pl)
-	if err != nil {
-		return nil, err
-	}
-	c.met.frontierEdges.Set(int64(rep.Edges))
-	return rep, nil
+		c.met.frontierEdges.Set(int64(rep.Edges))
+		return rep, nil
+	})
 }

@@ -62,10 +62,10 @@ type FuzzStallSummary struct {
 // Corpus is a persistent fuzzing corpus directory; see store.Corpus.
 type Corpus = store.Corpus
 
-// FuzzUntilStall is the one continuous-mode fuzzing loop, behind psspfuzz
-// -until-stall and the fabric coordinator's distributed rounds alike: it
-// runs round until the coverage frontier's hash is unchanged for stall
-// consecutive rounds. Round r>0 re-derives its mutation seed as
+// FuzzUntilStall is the one continuous-mode fuzzing loop, behind the fuzz
+// job's until-stall mode (daemon.RunFuzz) whichever runner executes its
+// rounds — in process or leased across fabric workers: it runs round until
+// the coverage frontier's hash is unchanged for stall consecutive rounds. Round r>0 re-derives its mutation seed as
 // rng.Mix(cfg.Seed, r) and seeds itself with cfg.Seeds plus every input
 // discovered so far, with the accumulated frontier as its BaseVirgin. With a
 // corpus both are reloaded from it before every round — concurrent runs
