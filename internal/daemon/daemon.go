@@ -493,7 +493,6 @@ func (d *Daemon) ServeConn(conn net.Conn) error {
 	}()
 
 	ctx, cancel := context.WithCancel(d.ctx)
-	defer cancel()
 	w := &connWriter{enc: json.NewEncoder(conn)}
 
 	// jobs maps in-flight request ids to their cancel functions, for the
@@ -503,7 +502,13 @@ func (d *Daemon) ServeConn(conn net.Conn) error {
 		jobs   = make(map[uint64]context.CancelFunc)
 		reqWG  sync.WaitGroup
 	)
-	defer reqWG.Wait()
+	// A dropped connection cancels its jobs before waiting for them: nobody
+	// is left to read their results, and a killed client must not keep its
+	// admission slots busy until its jobs run to completion.
+	defer func() {
+		cancel()
+		reqWG.Wait()
+	}()
 
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 64<<10), maxLine)

@@ -1,10 +1,12 @@
 package daemon
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -579,4 +581,72 @@ func TestWholeJobChargesShardCharges(t *testing.T) {
 			t.Errorf("%s: whole job charged %d cycles, its shard jobs %d", k.whole, whole, shards)
 		}
 	}
+}
+
+// TestDroppedConnectionCancelsItsJobs: a client that drops its connection
+// mid-job frees its admission slot. The first connection starts an attack
+// far too long to finish (a million p-ssp replications) on a one-slot
+// daemon, reads its first progress line, and closes. ServeConn must cancel
+// the job, return, and leave the slot free for a second connection's job.
+func TestDroppedConnectionCancelsItsJobs(t *testing.T) {
+	d := New(Config{MaxJobs: 1})
+	defer d.Shutdown(context.Background())
+	serve := func() (net.Conn, chan error) {
+		cli, srv := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- d.ServeConn(srv) }()
+		return cli, done
+	}
+	submit := func(c net.Conn, p AttackParams) *bufio.Scanner {
+		raw, _ := json.Marshal(p)
+		go json.NewEncoder(c).Encode(Request{ID: 1, Method: "attack", Params: raw})
+		return bufio.NewScanner(c)
+	}
+	watchdog := time.After(time.Minute) // only fires if the bug is back
+
+	c1, done1 := serve()
+	sc := submit(c1, AttackParams{Scheme: "p-ssp", Budget: 64, Repeats: 1 << 20, Workers: 1, Seed: 9})
+	if !sc.Scan() {
+		t.Fatalf("no progress line: %v", sc.Err())
+	}
+	var ev Response
+	if err := json.Unmarshal(sc.Bytes(), &ev); err != nil || ev.Event != "progress" {
+		t.Fatalf("first line %q (%v), want a progress event", sc.Bytes(), err)
+	}
+	c1.Close()
+	select {
+	case err := <-done1:
+		if err != nil {
+			t.Fatalf("ServeConn: %v", err)
+		}
+	case <-watchdog:
+		t.Fatal("ServeConn still waiting on the dropped connection's job")
+	}
+	// The job ended as a canceled partial (counted with the finished
+	// jobs: it did work), and its slot is free.
+	if st := d.Stats(); st.Running != 0 || st.Completed+st.Canceled != 1 {
+		t.Fatalf("after the drop: running=%d finished=%d, want 0 and 1", st.Running, st.Completed+st.Canceled)
+	}
+
+	c2, done2 := serve()
+	sc = submit(c2, AttackParams{Scheme: "p-ssp", Budget: 64, Repeats: 1, Workers: 1, Seed: 9})
+	var resp Response
+	for resp.Event != "" || resp.Result == nil && resp.Error == nil {
+		if !sc.Scan() {
+			t.Fatalf("second connection: %v", sc.Err())
+		}
+		resp = Response{}
+		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp.Error != nil {
+		t.Fatalf("second connection's job: %+v", resp.Error)
+	}
+	var rep AttackReport
+	if err := json.Unmarshal(resp.Result, &rep); err != nil || rep.Completed != 1 || rep.Canceled {
+		t.Fatalf("second job report completed=%d canceled=%v (%v)", rep.Completed, rep.Canceled, err)
+	}
+	c2.Close()
+	<-done2
 }

@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -143,23 +142,14 @@ func bucket(n byte) byte {
 
 // mergeCov folds one execution's edge map into the shard's bucketed frontier
 // and reports how many new bucket bits it contributed — the corpus-admission
-// novelty signal. The word-at-a-time skip keeps the 64 KiB scan cheap
-// relative to the VM work behind each execution.
+// novelty signal. It visits only the buckets the execution touched.
 func mergeCov(virgin []byte, cov *vm.CovMap) int {
 	raw := cov.Bytes()
 	news := 0
-	for i := 0; i < len(raw); i += 8 {
-		if binary.LittleEndian.Uint64(raw[i:]) == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if raw[j] == 0 {
-				continue
-			}
-			if b := bucket(raw[j]); virgin[j]&b == 0 {
-				virgin[j] |= b
-				news++
-			}
+	for _, i := range cov.Touched() {
+		if b := bucket(raw[i]); virgin[i]&b == 0 {
+			virgin[i] |= b
+			news++
 		}
 	}
 	return news

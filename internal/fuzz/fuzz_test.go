@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -23,11 +24,10 @@ type fakeTarget struct {
 
 func (f *fakeTarget) Execute(_ context.Context, input []byte) (Exec, *vm.CovMap, error) {
 	f.cov.Reset()
-	raw := f.cov.Bytes()
 	// Edge footprint: a base path plus one bucket per power-of-two length.
-	raw[1] = 1
+	f.cov.Hit(1)
 	for l := len(input); l > 0; l >>= 1 {
-		raw[16+l%251]++
+		f.cov.Hit(uint16(16 + l%251))
 	}
 	ex := Exec{Cycles: uint64(100 + len(input)), Insts: uint64(10 + len(input))}
 	if len(input) > f.bufLen {
@@ -315,6 +315,48 @@ func TestMergeRejectsMalformedPartial(t *testing.T) {
 		rep, err := MergePartials(cfg, []*Partial{&bad, parts[1]})
 		if !errors.Is(err, ErrMalformedPartial) || rep != nil {
 			t.Fatalf("merge of a %d-byte virgin map = %v, %v; want ErrMalformedPartial", n, rep, err)
+		}
+	}
+}
+
+// TestMergeCovSparseMatchesFullScan is the property behind the sparse
+// merge: on random hit patterns — none, a few buckets, a request's ~140, the
+// whole map, saturated counters — merging an exec's touched list into a
+// random frontier sets the same virgin bits and counts the same new bits as
+// a scan of all 64 KiB.
+func TestMergeCovSparseMatchesFullScan(t *testing.T) {
+	r := rand.New(rand.NewSource(2018))
+	var cov vm.CovMap
+	sizes := []int{0, 1, 2, 140, 500, 4096, vm.CovMapSize / 2, vm.CovMapSize - 1, vm.CovMapSize}
+	for trial := 0; trial < 40; trial++ {
+		n := sizes[trial%len(sizes)]
+		cov.Reset()
+		for _, i := range r.Perm(vm.CovMapSize)[:n] {
+			k := 1 + r.Intn(40)
+			if r.Intn(8) == 0 {
+				k = 255 + r.Intn(100) // saturates at 0xff
+			}
+			for ; k > 0; k-- {
+				cov.Hit(uint16(i))
+			}
+		}
+		sparse := make([]byte, vm.CovMapSize)
+		for i := range sparse {
+			if r.Intn(4) == 0 {
+				sparse[i] = byte(r.Intn(256))
+			}
+		}
+		full := append([]byte(nil), sparse...)
+		want := 0
+		for i, h := range cov.Bytes() {
+			if b := bucket(h); h != 0 && full[i]&b == 0 {
+				full[i] |= b
+				want++
+			}
+		}
+		if got := mergeCov(sparse, &cov); got != want || !bytes.Equal(sparse, full) {
+			t.Fatalf("trial %d (%d buckets): sparse merge news=%d, full scan news=%d, virgin equal=%v",
+				trial, n, got, want, bytes.Equal(sparse, full))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,4 +212,30 @@ func TestInstStringNoPanicAllOps(t *testing.T) {
 			t.Errorf("String() for %s = %q does not contain mnemonic", op.Name(), s)
 		}
 	}
+}
+
+// FuzzDecode: Decode never panics on arbitrary bytes at any offset, and
+// every instruction it accepts re-encodes to exactly the bytes it consumed
+// (and decodes back to itself). Seeded from the round-trip samples.
+func FuzzDecode(f *testing.F) {
+	for _, in := range sampleInsts() {
+		f.Add(Encode(nil, in), 0)
+	}
+	f.Add(EncodeAll(sampleInsts()), 1)
+	f.Fuzz(func(t *testing.T, code []byte, off int) {
+		in, n, err := Decode(code, off)
+		if err != nil {
+			return
+		}
+		if n != in.Len() {
+			t.Fatalf("%s: decode consumed %d bytes, Len() says %d", in, n, in.Len())
+		}
+		enc := Encode(nil, in)
+		if !bytes.Equal(enc, code[off:off+n]) {
+			t.Fatalf("%s: decoded % x, re-encoded % x", in, code[off:off+n], enc)
+		}
+		if again, _, err := Decode(enc, 0); err != nil || again != in {
+			t.Fatalf("%s: re-decode = %+v, %v", in, again, err)
+		}
+	})
 }

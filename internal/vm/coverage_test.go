@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
@@ -175,5 +176,57 @@ func TestCoverageCounterSaturates(t *testing.T) {
 	}
 	if got := cov.hits[0x40&(CovMapSize-1)]; got != 0xff {
 		t.Fatalf("hot counter = %d, want saturated 255", got)
+	}
+}
+
+// hitPattern hits n distinct random buckets of m, each 1-4 times and one in
+// eight of them 300 times (saturated).
+func hitPattern(r *rand.Rand, m *CovMap, n int) {
+	for _, i := range r.Perm(CovMapSize)[:n] {
+		k := 1 + r.Intn(4)
+		if r.Intn(8) == 0 {
+			k = 300
+		}
+		for ; k > 0; k-- {
+			m.Hit(uint16(i))
+		}
+	}
+}
+
+// TestCovMapSparseResetAndEdges checks the touched list from an empty run
+// to one that hits every bucket: Touched lists each non-zero bucket exactly
+// once, Edges equals a full count of non-zero buckets, Reset leaves all
+// 64 KiB zero, and the next run starts from an empty list.
+func TestCovMapSparseResetAndEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	var m CovMap
+	for _, n := range []int{0, 1, 140, 4096, CovMapSize - 1, CovMapSize, 7} {
+		hitPattern(r, &m, n)
+		full := 0
+		for _, h := range m.Bytes() {
+			if h != 0 {
+				full++
+			}
+		}
+		if full != n || m.Edges() != n {
+			t.Fatalf("n=%d: Edges()=%d, full count %d", n, m.Edges(), full)
+		}
+		seen := make(map[uint16]bool, n)
+		for _, i := range m.Touched() {
+			if seen[i] || m.hits[i] == 0 {
+				t.Fatalf("n=%d: bucket %d listed twice or with a zero counter", n, i)
+			}
+			seen[i] = true
+		}
+		if len(seen) != n {
+			t.Fatalf("n=%d: %d touched buckets listed", n, len(seen))
+		}
+		m.Reset()
+		if m.hits != ([CovMapSize]byte{}) {
+			t.Fatalf("n=%d: Reset left non-zero counters", n)
+		}
+		if m.Edges() != 0 || len(m.Touched()) != 0 {
+			t.Fatalf("n=%d: after Reset Edges()=%d, %d touched", n, m.Edges(), len(m.Touched()))
+		}
 	}
 }

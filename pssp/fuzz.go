@@ -81,8 +81,8 @@ func FindingAttack(f FuzzFinding) AttackConfig {
 const fuzzVictimStream = 3
 
 // fuzzExecutor adapts one shard's fork-server into the fuzzing engine's
-// executor: reset the shared edge map, serve the input to a fresh worker,
-// classify the outcome.
+// executor: reset the shared edge map (only the buckets the previous exec
+// touched), serve the input to a fresh worker, classify the outcome.
 type fuzzExecutor struct {
 	srv *kernel.ForkServer
 	cov *vm.CovMap
