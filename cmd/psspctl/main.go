@@ -1,26 +1,31 @@
-// Command psspctl drives the distributed evaluation fabric: a coordinator
-// that fans attack campaigns, load sweeps, and fuzzing out across psspd
-// worker processes (and machines) as shard leases, and merges the returned
-// partial aggregates in shard order — so every report it emits is
+// Command psspctl drives the distributed evaluation fabric. Its
+// coordinator is a psspd daemon whose whole attack, loadtest and fuzz jobs
+// lease their shard ranges to psspd worker processes (and machines) and
+// merge the returned partial aggregates — so every report it emits is
 // byte-identical to the single-process psspattack/psspload/psspfuzz run at
 // the same explicit -seed, at any worker count, including runs where a
 // worker died mid-lease and its shards were re-issued.
 //
 // Three modes:
 //
-// One-shot — attach workers, run one job, print its report, exit:
+// One-shot — attach workers, run one job on the coordinator over an
+// in-process pipe (the path psspattack, psspload and psspfuzz take
+// locally), print its report, exit:
 //
 //	psspctl -workers unix:/tmp/w0.sock,unix:/tmp/w1.sock -job campaign -target nginx-vuln -json
 //	psspctl -listen unix:/tmp/ctl.sock -min-workers 2 -job fuzz -execs 8192 -json
 //	psspctl -workers unix:/tmp/w0.sock -job loadtest -sweep 0.5,1,2,4 -json
 //
-// Serve — a long-lived coordinator: workers register on -listen
-// (`psspd -worker -join`), and control clients submit jobs over the same
-// listener:
+// Serve — a long-lived coordinator on -listen: workers register there
+// (`psspd -worker -join`), and every other connection is served as a psspd
+// connection, so `psspattack -remote`, `psspload -remote` and
+// `psspfuzz -remote` against it run distributed jobs:
 //
 //	psspctl -serve -listen unix:/tmp/ctl.sock
+//	psspattack -remote unix:/tmp/ctl.sock -scheme ssp -seed 7 -json
 //
-// Remote — drive a serving coordinator's control API:
+// Remote — drive a daemon's submitted jobs and stats (a serving
+// coordinator's, or any psspd's):
 //
 //	psspctl -remote unix:/tmp/ctl.sock -submit -job fuzz -until-stall 3 -json
 //	psspctl -remote unix:/tmp/ctl.sock -status
@@ -40,10 +45,10 @@
 //
 // Workers attach either way around: -workers dials out to ordinary psspd
 // listeners, -listen accepts `psspd -worker -join` registrations; both may
-// be combined. Jobs require an explicit non-zero -seed — a lease must be
-// re-executable bit-identically on any worker, which a derived per-job
-// seed is not. -aggregate re-emits the stored report verbatim, so remote
-// job output is byte-identical to the one-shot (and single-process) run.
+// be combined. A job's seed is resolved once on the coordinator (-seed 0
+// draws it from the tenant's stream) and every lease re-executes under it.
+// -aggregate re-emits the stored report, so remote job output is
+// byte-identical to the one-shot (and single-process) run.
 package main
 
 import (
@@ -62,7 +67,6 @@ import (
 	"repro/internal/daemon/client"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/pssp"
 )
 
 func main() {
@@ -83,19 +87,19 @@ func main() {
 		retries      = flag.Int("retries", 0, "re-issues allowed per lease after worker loss before the job fails (0 = 3)")
 
 		// Remote control verbs.
-		remote    = flag.String("remote", "", "drive a serving coordinator at this address")
-		submit    = flag.Bool("submit", false, "submit the -job to the remote coordinator and print its id")
-		status    = flag.Bool("status", false, "list the remote coordinator's jobs (-id selects one)")
+		remote    = flag.String("remote", "", "drive the daemon (a serving coordinator) at this address")
+		submit    = flag.Bool("submit", false, "submit the -job to the remote daemon and print its id")
+		status    = flag.Bool("status", false, "list the remote daemon's submitted jobs (-id selects one)")
 		cancelJob = flag.Bool("cancel", false, "cancel the remote job named by -id")
 		aggregate = flag.Bool("aggregate", false, "fetch the merged report of the finished remote job named by -id")
-		stats     = flag.Bool("stats", false, "print coordinator stats (leases, worker health and throughput, frontier size)")
+		stats     = flag.Bool("stats", false, "print the remote daemon's stats (leases, worker health and throughput, frontier size, submitted jobs)")
 		watch     = flag.Bool("watch", false, "live dashboard: redraw remote stats and metrics about once a second")
 		id        = flag.Uint64("id", 0, "job id for -status/-cancel/-aggregate")
 
 		// Job selection and the per-kind knobs, mirroring the original CLIs.
-		job     = flag.String("job", "", "campaign | loadtest | fuzz")
+		kind    = flag.String("job", "", "campaign | loadtest | fuzz")
 		scheme  = flag.String("scheme", "", "protection scheme (default: ssp for campaign/fuzz, p-ssp for loadtest)")
-		seed    = flag.Uint64("seed", 1, "simulation seed (must be explicit and non-zero: leases re-execute under it)")
+		seed    = flag.Uint64("seed", 1, "simulation seed, resolved once on the coordinator; leases re-execute under it (0 = drawn from the tenant's seed stream)")
 		jsonOut = flag.Bool("json", false, "emit one machine-readable JSON object")
 
 		target     = flag.String("target", "nginx-vuln", "campaign: victim app")
@@ -139,59 +143,56 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	// params maps the flag surface onto the fabric's submit shape — the
-	// same daemon wire params the single-process CLIs send, so the one-shot
-	// and -submit paths resolve the scenario those CLIs do. It runs only
-	// for verbs that submit a job.
-	params := func() (fabric.SubmitParams, error) {
-		p := fabric.SubmitParams{Kind: *job}
-		switch *job {
+	// job maps the flag surface onto the daemon method and wire params the
+	// matching single-process CLI sends, so the one-shot and -submit paths
+	// resolve the scenario those CLIs do. It runs only for verbs that run a
+	// job.
+	job := func() (string, any, error) {
+		switch *kind {
 		case "campaign":
-			p.Attack = &daemon.AttackParams{
+			return "attack", daemon.AttackParams{
 				Target: *target, Scheme: *scheme, Strategy: *strategy,
 				Budget: *budget, Repeats: *repeats, Workers: *jobWorkers, Seed: *seed,
-			}
+			}, nil
 		case "loadtest":
 			mix, err := cliutil.ParseMix(*mixSpec)
 			if err != nil {
-				return p, err
+				return "", nil, err
 			}
 			multipliers, err := cliutil.ParseSweep(*sweep)
 			if err != nil {
-				return p, err
+				return "", nil, err
 			}
-			p.Load = &daemon.LoadParams{
+			return "loadtest", daemon.LoadParams{
 				App: *app, Scheme: *scheme, Mix: mix, Arrivals: *arrivals,
 				Rate: *rate, Clients: *clients, ThinkCycles: *think,
 				Requests: *requests, DurationCycles: *duration,
 				Shards: *shards, Workers: *jobWorkers, Budget: *probes,
 				Sweep: multipliers, Seed: *seed,
-			}
+			}, nil
 		case "fuzz":
 			seeds, err := cliutil.ParseByteItems(*seedSpec)
 			if err != nil {
-				return p, fmt.Errorf("seeds %w", err)
+				return "", nil, fmt.Errorf("seeds %w", err)
 			}
 			tokens, err := cliutil.ParseByteItems(*dict)
 			if err != nil {
-				return p, fmt.Errorf("dict %w", err)
+				return "", nil, fmt.Errorf("dict %w", err)
 			}
-			p.Fuzz = &daemon.FuzzParams{
+			return "fuzz", daemon.FuzzParams{
 				App: *app, Scheme: *scheme, Seeds: seeds, Dict: tokens,
 				Execs: *execs, Shards: *shards, Workers: *jobWorkers,
 				MaxInput: *maxIn, Seed: *seed, CorpusDir: *corpus, UntilStall: *stall,
-			}
-		default:
-			return p, fmt.Errorf("unknown -job %q (want campaign, loadtest or fuzz)", *job)
+			}, nil
 		}
-		return p, nil
+		return "", nil, fmt.Errorf("unknown -job %q (want campaign, loadtest or fuzz)", *kind)
 	}
 
 	if *remote != "" {
 		if err := runRemote(ctx, *remote, remoteArgs{
 			submit: *submit, status: *status, cancel: *cancelJob,
 			aggregate: *aggregate, stats: *stats, watch: *watch, id: *id, jsonOut: *jsonOut,
-			params: params,
+			job: job,
 		}); err != nil {
 			fail(err)
 		}
@@ -260,8 +261,12 @@ func main() {
 	}
 
 	// One-shot mode.
-	if *job == "" {
+	if *kind == "" {
 		fail(fmt.Errorf("nothing to do: give -job campaign|loadtest|fuzz (or -serve, or a -remote verb)"))
+	}
+	method, p, err := job()
+	if err != nil {
+		fail(err)
 	}
 	if lis != nil {
 		go coord.Serve(ctx, lis)
@@ -277,11 +282,13 @@ func main() {
 		fail(err)
 	}
 
-	p, err := params()
-	if err != nil {
+	c := cliutil.Pipe(coord.Daemon)
+	defer c.Close()
+	var raw json.RawMessage
+	if err := c.Call(ctx, method, p, &raw); err != nil {
 		fail(err)
 	}
-	if err := runOneShot(ctx, coord, p, *jsonOut); err != nil {
+	if err := emit(method, raw, p, *jsonOut); err != nil {
 		fail(err)
 	}
 	if logger.Enabled(cliutil.LevelDebug) {
@@ -294,26 +301,39 @@ func main() {
 	}
 }
 
-// runOneShot executes one fabric job on coord and emits its report in the
-// exact shape, and through the same renderer, as the matching
-// single-process CLI.
-func runOneShot(ctx context.Context, coord *fabric.Coordinator, p fabric.SubmitParams, jsonOut bool) error {
-	res, err := coord.Run(ctx, p)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return cliutil.EmitJSON(os.Stdout, res)
-	}
-	switch rep := res.(type) {
-	case *daemon.AttackReport:
-		cliutil.PrintAttack(*rep)
-	case *pssp.LoadSweepReport:
-		cliutil.PrintSweep(rep, *p.Load)
-	case *pssp.LoadReport:
-		cliutil.PrintLoad(rep)
-	case daemon.FuzzResult:
-		cliutil.PrintFuzz(rep, *p.Fuzz, 0)
+// emit prints the result of the method job with params p in the shape, and
+// through the renderer, of the matching single-process CLI. p is nil for
+// -aggregate, which always prints JSON.
+func emit(method string, raw json.RawMessage, p any, jsonOut bool) error {
+	switch method {
+	case "attack":
+		var rep daemon.AttackReport
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			return err
+		}
+		if jsonOut {
+			return cliutil.EmitJSON(os.Stdout, rep)
+		}
+		cliutil.PrintAttack(rep)
+	case "loadtest":
+		var res daemon.LoadResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			return err
+		}
+		lp, _ := p.(daemon.LoadParams)
+		return cliutil.EmitLoad(res, lp, jsonOut)
+	case "fuzz":
+		var res daemon.FuzzResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			return err
+		}
+		if jsonOut {
+			return cliutil.EmitJSON(os.Stdout, res)
+		}
+		fp, _ := p.(daemon.FuzzParams)
+		cliutil.PrintFuzz(res, fp, 0)
+	default:
+		return cliutil.EmitJSON(os.Stdout, raw)
 	}
 	return nil
 }
@@ -324,10 +344,10 @@ type remoteArgs struct {
 
 	id      uint64
 	jsonOut bool
-	params  func() (fabric.SubmitParams, error)
+	job     func() (method string, params any, err error)
 }
 
-// runRemote drives a serving coordinator's control API.
+// runRemote drives a daemon's submitted jobs and stats.
 func runRemote(ctx context.Context, addr string, a remoteArgs) error {
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -339,12 +359,16 @@ func runRemote(ctx context.Context, addr string, a remoteArgs) error {
 	case a.watch:
 		return runWatch(ctx, c, addr)
 	case a.submit:
-		p, err := a.params()
+		method, p, err := a.job()
 		if err != nil {
 			return err
 		}
-		var res fabric.SubmitResult
-		if err := c.Call(ctx, "submit", p, &res); err != nil {
+		raw, err := json.Marshal(p)
+		if err != nil {
+			return err
+		}
+		var res daemon.SubmitResult
+		if err := c.Call(ctx, "submit", daemon.SubmitParams{Method: method, Params: raw}, &res); err != nil {
 			return err
 		}
 		if a.jsonOut {
@@ -353,8 +377,8 @@ func runRemote(ctx context.Context, addr string, a remoteArgs) error {
 		fmt.Printf("job %d submitted\n", res.ID)
 		return nil
 	case a.status:
-		var res fabric.StatusResult
-		if err := c.Call(ctx, "status", fabric.StatusParams{ID: a.id}, &res); err != nil {
+		var res daemon.StatusResult
+		if err := c.Call(ctx, "status", daemon.StatusParams{ID: a.id}, &res); err != nil {
 			return err
 		}
 		if a.jsonOut {
@@ -377,7 +401,7 @@ func runRemote(ctx context.Context, addr string, a remoteArgs) error {
 			return fmt.Errorf("-cancel requires -id")
 		}
 		var res daemon.CancelResult
-		if err := c.Call(ctx, "cancel", daemon.CancelParams{ID: a.id}, &res); err != nil {
+		if err := c.Call(ctx, "cancel", daemon.CancelParams{Job: a.id}, &res); err != nil {
 			return err
 		}
 		if a.jsonOut {
@@ -389,36 +413,33 @@ func runRemote(ctx context.Context, addr string, a remoteArgs) error {
 		if a.id == 0 {
 			return fmt.Errorf("-aggregate requires -id")
 		}
-		// Fetch the stored report verbatim: re-indenting the raw message
-		// reproduces the one-shot emission byte for byte.
-		var raw json.RawMessage
-		if err := c.Call(ctx, "aggregate", fabric.AggregateParams{ID: a.id}, &raw); err != nil {
+		var st daemon.StatusResult
+		if err := c.Call(ctx, "status", daemon.StatusParams{ID: a.id}, &st); err != nil {
 			return err
 		}
-		return cliutil.EmitJSON(os.Stdout, raw)
+		var raw json.RawMessage
+		if err := c.Call(ctx, "aggregate", daemon.AggregateParams{ID: a.id}, &raw); err != nil {
+			return err
+		}
+		// A status row exists for every job aggregate accepts.
+		return emit(st.Jobs[0].Kind, raw, nil, true)
 	case a.stats:
-		var st fabric.Stats
-		if err := c.Call(ctx, "stats", nil, &st); err != nil {
+		st, err := c.Stats(ctx)
+		if err != nil {
 			return err
 		}
 		if a.jsonOut {
 			return cliutil.EmitJSON(os.Stdout, st)
 		}
-		fmt.Printf("%d lease(s) issued, %d reassigned", st.LeasesIssued, st.LeasesReassigned)
+		fs := st.Fabric
+		fmt.Printf("%d lease(s) issued, %d reassigned", fs.LeasesIssued, fs.LeasesReassigned)
 		if st.FrontierEdges > 0 {
 			fmt.Printf(", frontier %d edges", st.FrontierEdges)
 		}
 		fmt.Println()
-		for _, w := range st.Workers {
-			state := "dead"
-			if w.Alive {
-				state = "idle"
-				if w.Busy {
-					state = "busy"
-				}
-			}
+		for _, w := range fs.Workers {
 			fmt.Printf("worker %s: %-4s leases=%d shards=%d (%.1f shards/s)\n",
-				w.Name, state, w.Leases, w.ShardsDone, w.ShardsPerSec)
+				w.Name, workerState(w), w.Leases, w.ShardsDone, w.ShardsPerSec)
 		}
 		for _, j := range st.Jobs {
 			fmt.Printf("job %d %-9s %s\n", j.ID, j.Kind, j.State)
@@ -426,6 +447,17 @@ func runRemote(ctx context.Context, addr string, a remoteArgs) error {
 		return nil
 	}
 	return fmt.Errorf("-remote needs a verb: -submit, -status, -cancel, -aggregate or -stats")
+}
+
+// workerState names a worker's state in stats output.
+func workerState(w daemon.WorkerStats) string {
+	switch {
+	case !w.Alive:
+		return "dead"
+	case w.Busy:
+		return "busy"
+	}
+	return "idle"
 }
 
 // splitList splits a comma-separated address list, dropping empties.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/daemon/client"
-	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
@@ -17,8 +16,8 @@ import (
 // reading as "live".
 const watchInterval = time.Second
 
-// runWatch is the -watch verb: a live dashboard over the coordinator's
-// stats and metrics RPCs, redrawn once a second until ctx is interrupted.
+// runWatch is the -watch verb: a live dashboard over the daemon's stats
+// and metrics RPCs, redrawn once a second until ctx is interrupted.
 // It supersedes polling `psspctl -stats` in a shell loop — one connection,
 // one screen, quantiles included.
 func runWatch(ctx context.Context, c *client.Client, addr string) error {
@@ -47,10 +46,11 @@ func runWatch(ctx context.Context, c *client.Client, addr string) error {
 
 // watchFrame renders one dashboard screen.
 func watchFrame(ctx context.Context, c *client.Client, addr string) (string, error) {
-	var st fabric.Stats
-	if err := c.Call(ctx, "stats", nil, &st); err != nil {
+	st, err := c.Stats(ctx)
+	if err != nil {
 		return "", err
 	}
+	fs := st.Fabric
 	var series []obs.Series
 	if err := c.Call(ctx, "metrics", nil, &series); err != nil {
 		return "", err
@@ -60,24 +60,17 @@ func watchFrame(ctx context.Context, c *client.Client, addr string) (string, err
 	fmt.Fprintf(&b, "psspctl watch — %s — %s (refresh %s, ^C to quit)\n\n",
 		addr, time.Now().Format("15:04:05"), watchInterval)
 
-	fmt.Fprintf(&b, "leases: %d issued, %d reassigned", st.LeasesIssued, st.LeasesReassigned)
+	fmt.Fprintf(&b, "leases: %d issued, %d reassigned", fs.LeasesIssued, fs.LeasesReassigned)
 	if st.FrontierEdges > 0 {
 		fmt.Fprintf(&b, " — frontier %d edges", st.FrontierEdges)
 	}
 	b.WriteString("\n\nworkers:\n")
-	if len(st.Workers) == 0 {
+	if len(fs.Workers) == 0 {
 		b.WriteString("  (none attached)\n")
 	}
-	for _, w := range st.Workers {
-		state := "dead"
-		if w.Alive {
-			state = "idle"
-			if w.Busy {
-				state = "busy"
-			}
-		}
+	for _, w := range fs.Workers {
 		fmt.Fprintf(&b, "  %-24s %-4s leases=%-5d shards=%-7d %8.1f shards/s\n",
-			w.Name, state, w.Leases, w.ShardsDone, w.ShardsPerSec)
+			w.Name, workerState(w), w.Leases, w.ShardsDone, w.ShardsPerSec)
 	}
 	if len(st.Jobs) > 0 {
 		b.WriteString("\njobs:\n")

@@ -8,7 +8,13 @@
 // Jobs that name an explicit seed produce byte-identical reports to the
 // equivalent CLI invocation (psspattack/psspload/psspfuzz with -remote
 // re-emit them verbatim); jobs without one draw unique per-job seeds from
-// their tenant's stream.
+// their tenant's stream. A job may also be submitted detached from its
+// connection and later polled, fetched or canceled by id (psspctl -remote
+// -submit/-status/-aggregate/-cancel).
+//
+// The fabric coordinator (psspctl) is this same daemon with one change:
+// its whole attack, loadtest and fuzz jobs lease their shard ranges to
+// psspd workers instead of running them in process.
 //
 // Usage:
 //
@@ -29,7 +35,7 @@
 // dials the coordinator at -join (a psspctl -listen address), registers
 // under -name, and serves shard-lease requests over that one connection,
 // rejoining with capped backoff whenever it drops. Everything else —
-// warm pool, engine, store, drain — behaves identically.
+// setup, warm pool, engine, store, drain — is the same code.
 //
 // -store attaches a content-addressed artifact store: cold pool misses
 // become store lookups (reported as store_hits/store_misses in `stats` and
@@ -46,7 +52,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -91,36 +96,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *workerMode {
-		if *join == "" {
-			fail(fmt.Errorf("-worker requires -join: the coordinator address to register with"))
-		}
-		runWorker(*join, *name, *storeDir, *metrics, *drain, logger, daemon.Config{
-			Seed:        *seed,
-			MaxJobs:     *maxJobs,
-			MaxQueue:    *maxQueue,
-			TenantJobs:  *tenantJobs,
-			QuotaCycles: *quota,
-			PoolSize:    *poolSize,
-			Engine:      eng,
-		}, fail)
-		return
+	if *workerMode && *join == "" {
+		fail(fmt.Errorf("-worker requires -join: the coordinator address to register with"))
 	}
-	if *join != "" {
+	if !*workerMode && *join != "" {
 		fail(fmt.Errorf("-join requires -worker"))
-	}
-
-	network, target := "tcp", *listen
-	if strings.HasPrefix(*listen, "unix:") {
-		network, target = "unix", strings.TrimPrefix(*listen, "unix:")
-		// A stale socket file from a previous run would fail the bind.
-		os.Remove(target)
-	} else {
-		target = strings.TrimPrefix(target, "tcp:")
-	}
-	lis, err := net.Listen(network, target)
-	if err != nil {
-		fail(err)
 	}
 
 	var st *pssp.Store
@@ -129,7 +109,6 @@ func main() {
 			fail(err)
 		}
 	}
-
 	d := daemon.New(daemon.Config{
 		Seed:        *seed,
 		MaxJobs:     *maxJobs,
@@ -153,19 +132,41 @@ func main() {
 		logger.Infof("metrics on http://%s/metrics", addr)
 	}
 
+	// Serve mode listens; -worker mode dials the coordinator instead. The
+	// rest — drain on a signal, store summary, exit — is one body.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	var sock string // a unix socket file to remove on drain
+	if *workerMode {
+		go func() { errc <- d.Worker(ctx, *join, *name) }()
+		logger.Infof("worker joining %s (seed %d, %d job slots, pool %d)",
+			*join, *seed, *maxJobs, *poolSize)
+	} else {
+		network, target := daemon.SplitAddr(*listen)
+		if network == "unix" {
+			// A stale socket file from a previous run would fail the bind.
+			os.Remove(target)
+			sock = target
+		}
+		lis, err := net.Listen(network, target)
+		if err != nil {
+			fail(err)
+		}
+		go func() { errc <- d.Serve(lis) }()
+		logger.Infof("serving on %s (seed %d, %d job slots, pool %d)",
+			*listen, *seed, *maxJobs, *poolSize)
+	}
+
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- d.Serve(lis) }()
-	logger.Infof("serving on %s (seed %d, %d job slots, pool %d)",
-		*listen, *seed, *maxJobs, *poolSize)
-
 	select {
 	case sig := <-sigs:
 		logger.Infof("%s, draining...", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		err := d.Shutdown(ctx)
 		cancel()
+		dctx, dcancel := context.WithTimeout(context.Background(), *drain)
+		err := d.Shutdown(dctx)
+		dcancel()
 		if st != nil {
 			ss := st.Stats()
 			logger.Infof("store %s: store_hits=%d store_misses=%d (mem %d, disk %d, corrupt %d)",
@@ -174,63 +175,8 @@ func main() {
 			// live address space aliases the store's mappings.
 			st.Close()
 		}
-		if network == "unix" {
-			os.Remove(target)
-		}
-		if err != nil {
-			fail(fmt.Errorf("drain: %w", err))
-		}
-	case err := <-errc:
-		if err != nil {
-			fail(err)
-		}
-	}
-}
-
-// runWorker is the -worker mode body: one daemon, no listener, a join loop
-// against the coordinator, and the same signal-drain exit as serve mode.
-func runWorker(join, name, storeDir, metrics string, drain time.Duration, logger *cliutil.Logger, cfg daemon.Config, fail func(error)) {
-	var st *pssp.Store
-	var err error
-	if storeDir != "" {
-		if st, err = pssp.OpenStore(storeDir); err != nil {
-			fail(err)
-		}
-		cfg.Store = st
-	}
-	d := daemon.New(cfg)
-	kernel.SetMetrics(d.Metrics())
-	workpool.SetMetrics(d.Metrics())
-	if metrics != "" {
-		addr, stop, err := obs.ListenAndServe(metrics, d.Metrics(), d.Recorder())
-		if err != nil {
-			fail(fmt.Errorf("metrics: %w", err))
-		}
-		defer stop()
-		logger.Infof("metrics on http://%s/metrics", addr)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	errc := make(chan error, 1)
-	go func() { errc <- d.Worker(ctx, join, name) }()
-	logger.Infof("worker joining %s (seed %d, %d job slots, pool %d)",
-		join, cfg.Seed, cfg.MaxJobs, cfg.PoolSize)
-
-	select {
-	case sig := <-sigs:
-		logger.Infof("%s, draining...", sig)
-		cancel()
-		dctx, dcancel := context.WithTimeout(context.Background(), drain)
-		err := d.Shutdown(dctx)
-		dcancel()
-		if st != nil {
-			ss := st.Stats()
-			logger.Infof("store %s: store_hits=%d store_misses=%d (mem %d, disk %d, corrupt %d)",
-				storeDir, ss.Hits, ss.Misses, ss.MemHits, ss.DiskHits, ss.Corrupt)
-			st.Close()
+		if sock != "" {
+			os.Remove(sock)
 		}
 		if err != nil {
 			fail(fmt.Errorf("drain: %w", err))

@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +48,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/daemon"
 	"repro/internal/daemon/client"
+	"repro/internal/obs"
 	"repro/pssp"
 )
 
@@ -63,7 +63,8 @@ type smokeReport struct {
 	Jobs   int    `json:"jobs"`
 	Conns  int    `json:"conns"`
 	// Wall-clock job latency in microseconds, measured Call-to-return at
-	// the client (transport + queueing + job execution).
+	// the client (transport + queueing + job execution); the quantiles
+	// follow obs.Quantile, the metrics registry's rule.
 	P50Micros float64 `json:"p50_micros"`
 	P99Micros float64 `json:"p99_micros"`
 	MaxMicros float64 `json:"max_micros"`
@@ -98,7 +99,7 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 	}
 
 	ctx := context.Background()
-	durations := make([]time.Duration, jobs)
+	var latency obs.Hist // ns per job
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var firstErr atomic.Value
@@ -115,7 +116,7 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 				t0 := time.Now()
 				err := c.Call(ctx, "boot", daemon.BootParams{App: app, Scheme: s.String(), Seed: seed},
 					nil, client.WithTenant(tenant))
-				durations[i] = time.Since(t0)
+				latency.Record(uint64(time.Since(t0)))
 				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
@@ -129,20 +130,17 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 		return err
 	}
 
-	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
-	quantile := func(q float64) time.Duration {
-		i := int(q * float64(jobs-1))
-		return durations[i]
-	}
+	lat := latency.Snapshot()
+	micros := func(ns uint64) float64 { return float64(ns) / float64(time.Microsecond) }
 	stats, err := clients[0].Stats(ctx)
 	if err != nil {
 		return err
 	}
 	rep := smokeReport{
 		App: app, Scheme: s.String(), Seed: seed, Jobs: jobs, Conns: nconns,
-		P50Micros:     float64(quantile(0.50)) / float64(time.Microsecond),
-		P99Micros:     float64(quantile(0.99)) / float64(time.Microsecond),
-		MaxMicros:     float64(durations[jobs-1]) / float64(time.Microsecond),
+		P50Micros:     micros(lat.Quantile(0.50)),
+		P99Micros:     micros(lat.Quantile(0.99)),
+		MaxMicros:     micros(lat.Max),
 		ElapsedMicros: float64(elapsed) / float64(time.Microsecond),
 		JobsPerSec:    float64(jobs) / elapsed.Seconds(),
 		Stats:         stats,
@@ -233,20 +231,7 @@ func main() {
 	if res.Canceled {
 		fmt.Fprintln(os.Stderr, "psspload: job canceled; partial report follows")
 	}
-	// The inner report is emitted bare: the -json shape of a single
-	// workload is the LoadReport, of a sweep the LoadSweepReport.
-	var out any = res.Report
-	if res.Sweep != nil {
-		out = res.Sweep
-	}
-	switch {
-	case *jsonOut:
-		if err := cliutil.EmitJSON(os.Stdout, out); err != nil {
-			fail(err)
-		}
-	case res.Sweep != nil:
-		cliutil.PrintSweep(res.Sweep, p)
-	default:
-		cliutil.PrintLoad(res.Report)
+	if err := cliutil.EmitLoad(res, p, *jsonOut); err != nil {
+		fail(err)
 	}
 }

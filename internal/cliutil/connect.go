@@ -41,9 +41,7 @@ func Connect(prog, remote, storeDir string) (c *client.Client, stop func(), err 
 		}
 	}
 	d := daemon.New(daemon.Config{Store: st})
-	cliEnd, srvEnd := net.Pipe()
-	go d.ServeConn(srvEnd)
-	c = client.NewConn(cliEnd)
+	c = Pipe(d)
 	return c, func() {
 		c.Close()
 		d.Shutdown(context.Background())
@@ -53,4 +51,12 @@ func Connect(prog, remote, storeDir string) (c *client.Client, stop func(), err 
 			st.Close()
 		}
 	}, nil
+}
+
+// Pipe returns a client of d over a net.Pipe: an in-process job path that
+// is the wire path, byte for byte.
+func Pipe(d *daemon.Daemon) *client.Client {
+	cliEnd, srvEnd := net.Pipe()
+	go d.ServeConn(srvEnd)
+	return client.NewConn(cliEnd)
 }

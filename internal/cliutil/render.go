@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/daemon"
@@ -76,6 +77,23 @@ func PrintLoad(rep *pssp.LoadReport) {
 		fmt.Printf("  class %-12s %5d req, %4d crashes, %4d detections, p50 %s µs, p99 %s µs\n",
 			c.Name, c.Requests, c.Crashes, c.Detections, us(c.Latency.P50), us(c.Latency.P99))
 	}
+}
+
+// EmitLoad prints the result of the load job p: with jsonOut the inner
+// report bare — the LoadReport of a single workload, the LoadSweepReport of
+// a sweep — otherwise through PrintLoad or PrintSweep.
+func EmitLoad(res daemon.LoadResult, p daemon.LoadParams, jsonOut bool) error {
+	switch {
+	case jsonOut && res.Sweep != nil:
+		return EmitJSON(os.Stdout, res.Sweep)
+	case jsonOut:
+		return EmitJSON(os.Stdout, res.Report)
+	case res.Sweep != nil:
+		PrintSweep(res.Sweep, p)
+	default:
+		PrintLoad(res.Report)
+	}
+	return nil
 }
 
 // PrintSweep renders the offered-load sweep of the load job p.

@@ -248,41 +248,35 @@ func (c *Client) Call(ctx context.Context, method string, params any, result any
 		return err
 	}
 
-	canceled := false
-	for {
-		select {
-		case resp, ok := <-p.final:
-			if !ok {
-				c.mu.Lock()
-				err := c.readErr
-				c.mu.Unlock()
-				return err
-			}
-			if resp.Error != nil {
-				debugLog("client: call %d %s failed: %s %s", id, method, resp.Error.Code, resp.Error.Message)
-				return &RPCError{Code: resp.Error.Code, Message: resp.Error.Message}
-			}
-			debugLog("client: call %d %s ok", id, method)
-			if result == nil || len(resp.Result) == 0 {
-				return nil
-			}
-			if err := json.Unmarshal(resp.Result, result); err != nil {
-				return fmt.Errorf("client: decoding %s result: %w", method, err)
-			}
-			return nil
-		case <-ctx.Done():
-			if canceled {
-				// Second cancellation signal cannot happen (Done is
-				// sticky); this branch is unreachable once disarmed.
-				continue
-			}
-			canceled = true
-			// Best-effort remote cancel, then keep waiting for the
-			// terminal response so the result (possibly a flagged partial
-			// report) is not lost.
-			c.cancel(id)
-		}
+	var resp daemon.Response
+	var ok bool
+	select {
+	case resp, ok = <-p.final:
+	case <-ctx.Done():
+		// Best-effort remote cancel, then wait for the terminal response
+		// alone, so the result (possibly a flagged partial report) is not
+		// lost.
+		c.cancel(id)
+		resp, ok = <-p.final
 	}
+	if !ok {
+		c.mu.Lock()
+		err := c.readErr
+		c.mu.Unlock()
+		return err
+	}
+	if resp.Error != nil {
+		debugLog("client: call %d %s failed: %s %s", id, method, resp.Error.Code, resp.Error.Message)
+		return &RPCError{Code: resp.Error.Code, Message: resp.Error.Message}
+	}
+	debugLog("client: call %d %s ok", id, method)
+	if result == nil || len(resp.Result) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(resp.Result, result); err != nil {
+		return fmt.Errorf("client: decoding %s result: %w", method, err)
+	}
+	return nil
 }
 
 // cancel asks the daemon to cancel request id; failures are ignored (the

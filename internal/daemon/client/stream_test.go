@@ -1,11 +1,15 @@
 package client
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
 	"net"
 	"path/filepath"
 	"runtime"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -113,5 +117,53 @@ func TestCancelMidStreamNoGoroutineLeak(t *testing.T) {
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCanceledCallWaitsWithoutSpinning: once its context is done, Call
+// sends cancel and blocks on the terminal reply. A fake daemon holds that
+// reply for half a second; the process must burn well under that much CPU
+// meanwhile (a Call that kept selecting on the closed Done channel spun a
+// CPU for the whole wait).
+func TestCanceledCallWaitsWithoutSpinning(t *testing.T) {
+	const hold = 500 * time.Millisecond
+	cliEnd, srvEnd := net.Pipe()
+	c := NewConn(cliEnd)
+	defer c.Close()
+	go func() {
+		sc := bufio.NewScanner(srvEnd)
+		enc := json.NewEncoder(srvEnd)
+		var job daemon.Request
+		for sc.Scan() {
+			var req daemon.Request
+			if json.Unmarshal(sc.Bytes(), &req) != nil {
+				return
+			}
+			if req.Method != "cancel" {
+				job = req
+				continue
+			}
+			time.Sleep(hold)
+			enc.Encode(daemon.Response{ID: job.ID, Error: &daemon.Error{Code: daemon.CodeCanceled, Message: "canceled"}})
+		}
+	}()
+
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := cpu()
+	err := c.Call(ctx, "attack", daemon.AttackParams{Seed: 1}, nil)
+	used := cpu() - before
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want the canceled reply, got %v", err)
+	}
+	if used > hold/4 {
+		t.Errorf("waiting %v for the canceled reply used %v of CPU", hold, used)
 	}
 }

@@ -70,6 +70,10 @@ type Config struct {
 	// Recorder, when non-nil, is the flight recorder receiving per-job
 	// span traces. When nil the daemon creates a private bounded one.
 	Recorder *obs.Recorder
+	// Ranges, when non-nil, runs whole attack, loadtest and fuzz jobs'
+	// shard ranges instead of this process. fabric.New sets it; nothing
+	// else does.
+	Ranges RangeRunner
 }
 
 func (c Config) withDefaults() Config {
@@ -129,6 +133,10 @@ type Daemon struct {
 	tenantsMu sync.RWMutex
 	tenants   map[string]*tenant
 
+	// subMu guards the submitted-job table, keyed by job id.
+	subMu   sync.Mutex
+	submits map[uint64]*submittedJob
+
 	lisMu     sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
@@ -156,6 +164,7 @@ func New(cfg Config) *Daemon {
 		met:       newDaemonMetrics(reg),
 		wake:      make(chan struct{}),
 		tenants:   make(map[string]*tenant),
+		submits:   make(map[uint64]*submittedJob),
 		start:     time.Now(),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
@@ -325,9 +334,10 @@ func (d *Daemon) jobSeed(t *tenant, explicit uint64) uint64 {
 }
 
 // Stats snapshots the daemon for the stats method (and tests). Every
-// field reads registry-backed atomics or the tenant map's own lock — the
-// admission mutex is never taken, so a stats poll cannot stall (or be
-// stalled by) job traffic.
+// field reads registry-backed atomics or its own table's lock (tenants,
+// submitted jobs, the range runner's workers) — the admission mutex is
+// never taken, so a stats poll cannot stall (or be stalled by) job
+// traffic.
 func (d *Daemon) Stats() Stats {
 	st := Stats{
 		UptimeSeconds: time.Since(d.start).Seconds(),
@@ -352,6 +362,11 @@ func (d *Daemon) Stats() Stats {
 	}
 	d.tenantsMu.RUnlock()
 	st.Pool = d.pool.stats()
+	st.FrontierEdges = int(d.met.frontierEdges.Load())
+	st.Jobs = d.jobStatuses(0)
+	if d.cfg.Ranges != nil {
+		st.Fabric = d.cfg.Ranges.Stats()
+	}
 	return st
 }
 
@@ -387,22 +402,47 @@ func (d *Daemon) Do(ctx context.Context, tenantName, method string, params any, 
 // execution streaming progress into ev, slot release with cost accounting
 // — and returns its result: the one path behind the wire and Do.
 func (d *Daemon) execute(ctx context.Context, req Request, ev *eventStream) (any, error) {
+	j, err := d.newJob(req)
+	if err != nil {
+		return nil, err
+	}
+	return d.runJob(ctx, j, ev)
+}
+
+// job is one validated request, traced under its flight-recorder id.
+type job struct {
+	id  uint64
+	t   *tenant
+	run jobRun
+	tr  *obs.Trace
+}
+
+// newJob validates req into a job and opens its trace. Validation errors
+// surface before admission, so they never consume a queue slot.
+func (d *Daemon) newJob(req Request) (*job, error) {
 	t := d.tenantFor(req.Tenant)
 	run, err := d.jobFor(req, t)
 	if err != nil {
 		return nil, err
 	}
-	ctx, tr := d.beginTrace(ctx, req.Method)
-	if err := d.admit(ctx, t); err != nil {
-		tr.Event("rejected", 0, err.Error())
+	id, tr := d.beginTrace(req.Method)
+	return &job{id: id, t: t, run: run, tr: tr}, nil
+}
+
+// runJob admits j, runs it streaming progress into ev, and releases its
+// slot, charging its cost.
+func (d *Daemon) runJob(ctx context.Context, j *job, ev *eventStream) (any, error) {
+	ctx = obs.ContextWithTrace(ctx, j.tr)
+	if err := d.admit(ctx, j.t); err != nil {
+		j.tr.Event("rejected", 0, err.Error())
 		d.countFinish(err)
 		return nil, err
 	}
-	tr.Event("admitted", 0, "")
-	result, cost, err := run(ctx, ev)
-	d.release(t, cost)
+	j.tr.Event("admitted", 0, "")
+	result, cost, err := j.run(ctx, ev)
+	d.release(j.t, cost)
 	d.countFinish(err)
-	tr.Event("finish", cost, finishDetail(err))
+	j.tr.Event("finish", cost, finishDetail(err))
 	return result, err
 }
 
@@ -438,6 +478,14 @@ func (w *connWriter) fail(id uint64, err error) error {
 	return w.send(Response{ID: id, Error: wireError(err)})
 }
 
+// reply answers id with v, or with err when it is set.
+func (w *connWriter) reply(id uint64, v any, err error) error {
+	if err != nil {
+		return w.fail(id, err)
+	}
+	return w.result(id, v)
+}
+
 // wireError maps an error onto its stable wire code.
 func wireError(err error) *Error {
 	code := CodeInternal
@@ -470,9 +518,11 @@ const maxLine = 8 << 20
 // ServeConn serves one established connection until it drops or the
 // daemon shuts down: a read loop dispatching each request into its own
 // goroutine, a per-connection cancel registry for the cancel method, and
-// teardown canceling everything it started. It is the one place a
+// teardown canceling everything it started (submitted jobs excepted:
+// they run under the daemon's own context). It is the one place a
 // connection is registered for Shutdown — behind Serve's accepted
-// connections, a worker's outbound join, and an in-process client's pipe.
+// connections, a coordinator's control connections, a worker's outbound
+// join, and an in-process client's pipe.
 // It returns ErrShutdown (closing conn) once the daemon is draining.
 func (d *Daemon) ServeConn(conn net.Conn) error {
 	d.lisMu.Lock()
@@ -538,6 +588,11 @@ func (d *Daemon) ServeConn(conn net.Conn) error {
 				w.fail(req.ID, err)
 				continue
 			}
+			if p.Job != 0 {
+				res, err := d.cancelSubmitted(p.Job)
+				w.reply(req.ID, res, err)
+				continue
+			}
 			jobsMu.Lock()
 			jcancel, ok := jobs[p.ID]
 			jobsMu.Unlock()
@@ -545,6 +600,10 @@ func (d *Daemon) ServeConn(conn net.Conn) error {
 				jcancel()
 			}
 			w.result(req.ID, CancelResult{Canceled: ok})
+			continue
+		case "submit", "status", "aggregate":
+			res, err := d.submitted(req)
+			w.reply(req.ID, res, err)
 			continue
 		}
 

@@ -107,12 +107,14 @@ func (d *Daemon) bootJob(p BootParams, t *tenant) (jobRun, error) {
 }
 
 // engineEnv is what an engine job runs on: the cached image, a machine
-// seeded with the job seed, and the job's progress stream.
+// seeded with the job seed, the job's progress stream, and the range runner
+// its whole-job ranges go to (nil: in process).
 type engineEnv struct {
-	m    *pssp.Machine
-	img  *pssp.Image
-	seed uint64
-	ev   *eventStream
+	m      *pssp.Machine
+	img    *pssp.Image
+	seed   uint64
+	ev     *eventStream
+	ranges RangeRunner
 }
 
 // engineRun is the kind-specific body of an engine job: it returns the
@@ -134,6 +136,6 @@ func (d *Daemon) engineJob(app string, s pssp.Scheme, t *tenant, explicitSeed ui
 			return nil, 0, err
 		}
 		m := d.pool.machine(pssp.WithSeed(seed), pssp.WithScheme(s))
-		return run(ctx, engineEnv{m: m, img: img, seed: seed, ev: ev})
+		return run(ctx, engineEnv{m: m, img: img, seed: seed, ev: ev, ranges: d.cfg.Ranges})
 	}
 }

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
@@ -18,6 +17,7 @@ type daemonMetrics struct {
 	queued                      *obs.Gauge // daemon_queue_depth
 	admitted                    *obs.Counter
 	completed, failed, canceled *obs.Counter
+	frontierEdges               *obs.Gauge    // latest whole fuzz round's merged frontier
 	jobSeq                      atomic.Uint64 // flight-recorder trace ids
 }
 
@@ -29,6 +29,8 @@ func newDaemonMetrics(reg *obs.Registry) *daemonMetrics {
 		completed: reg.Counter(obs.Label("daemon_jobs_finished_total", "outcome", "completed")),
 		failed:    reg.Counter(obs.Label("daemon_jobs_finished_total", "outcome", "failed")),
 		canceled:  reg.Counter(obs.Label("daemon_jobs_finished_total", "outcome", "canceled")),
+
+		frontierEdges: reg.Gauge("daemon_fuzz_frontier_edges"),
 	}
 }
 
@@ -71,13 +73,13 @@ func (d *Daemon) Metrics() *obs.Registry { return d.reg }
 // Recorder returns the daemon's flight recorder (always present, bounded).
 func (d *Daemon) Recorder() *obs.Recorder { return d.rec }
 
-// beginTrace opens a flight-recorder trace for one job and attaches it to
-// ctx so lower layers (pool checkout, image compile) can add spans without
-// new parameters. The trace id is the daemon's own job sequence — stable
-// across connections, unlike per-connection request ids.
-func (d *Daemon) beginTrace(ctx context.Context, method string) (context.Context, *obs.Trace) {
+// beginTrace opens a flight-recorder trace for one job and returns it with
+// its id. The id is the daemon's own job sequence — stable across
+// connections, unlike per-connection request ids — and names a submitted
+// job to status, aggregate and cancel.
+func (d *Daemon) beginTrace(method string) (uint64, *obs.Trace) {
 	id := d.met.jobSeq.Add(1)
 	tr := d.rec.Begin(id, method)
 	tr.Event("dispatch", 0, method)
-	return obs.ContextWithTrace(ctx, tr), tr
+	return id, tr
 }

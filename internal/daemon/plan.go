@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/loadgen"
 	"repro/internal/obs"
@@ -13,9 +14,9 @@ import (
 // Plan is one engine job resolved from normalized wire params at an
 // explicit seed — the one job shape, plan → run shard ranges → merge,
 // whatever runs the ranges. A daemon whole job runs [0, Shards) in process
-// through its shard jobs' range run; the fabric coordinator leases ranges
-// to workers as Method requests. Both fold with Merge, so their reports
-// agree byte for byte.
+// through its shard jobs' range run; on a fabric coordinator the same whole
+// job leases the ranges to workers as Method requests (RangeRunner). Both
+// fold with Merge, so their reports agree byte for byte.
 type Plan[S, R, Rep any] struct {
 	// Method is the shard method a range runs as.
 	Method string
@@ -192,14 +193,57 @@ func PlanFuzz(m *pssp.Machine, img *pssp.Image, sp FuzzShardParams) (FuzzPlan, e
 	}, nil
 }
 
-// runRange is the in-process range runner: it runs a plan's whole range
-// [0, Shards) through body — the run its shard jobs use — and merges. The
-// run's error wins over the merge's, and a canceled run still returns the
+// RangeRunner runs whole jobs' shard ranges outside the daemon's process:
+// the fabric coordinator, which leases them to psspd workers. Only
+// fabric.New sets one (Config.Ranges); every other daemon runs ranges in
+// process.
+type RangeRunner interface {
+	// RunRanges covers shards [0, shards) with ranges and calls lease once
+	// per range attempt; lease's call sends one method request with the
+	// range's params to the process running it and decodes its result. It
+	// returns nil once a lease of every range has succeeded.
+	RunRanges(ctx context.Context, shards int, lease func(lo, hi int, call func(method string, params, result any) error) error) error
+	// Stats snapshots the runner for the daemon's stats method.
+	Stats() FabricStats
+}
+
+// charged is a range result that knows its victim-cycle charge.
+type charged interface{ cost() uint64 }
+
+// runRange runs a plan's whole range [0, Shards) — in process through body,
+// the run its shard jobs use, or as leases through the daemon's range
+// runner — and merges what completed. It charges the results' costs. The
+// run's error wins over the merge's, so a canceled run still returns the
 // report of the work it did.
-func runRange[S, R, Rep any](ctx context.Context, e engineEnv, pl Plan[S, R, Rep],
-	body func(context.Context, engineEnv, S) (R, uint64, error)) (Rep, uint64, error) {
-	res, cost, err := body(ctx, e, pl.Range(0, pl.Shards))
-	rep, mErr := pl.Merge([]R{res})
+func runRange[S any, R charged, Rep any](ctx context.Context, e engineEnv, pl Plan[S, R, Rep],
+	body func(context.Context, engineEnv, S) (R, error)) (Rep, uint64, error) {
+	var (
+		mu      sync.Mutex
+		results []R
+		cost    uint64
+	)
+	collect := func(r R) {
+		mu.Lock()
+		results = append(results, r)
+		cost += r.cost()
+		mu.Unlock()
+	}
+	var err error
+	if e.ranges == nil {
+		var res R
+		res, err = body(ctx, e, pl.Range(0, pl.Shards))
+		collect(res)
+	} else {
+		err = e.ranges.RunRanges(ctx, pl.Shards, func(lo, hi int, call func(string, any, any) error) error {
+			var res R
+			if err := call(pl.Method, pl.Range(lo, hi), &res); err != nil {
+				return err
+			}
+			collect(res)
+			return nil
+		})
+	}
+	rep, mErr := pl.Merge(results)
 	if err == nil {
 		err = mErr
 	}

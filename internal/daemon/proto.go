@@ -31,8 +31,9 @@ type Request struct {
 	// ID correlates the response (and streamed events) with the request.
 	// Client-chosen, unique per connection.
 	ID uint64 `json:"id"`
-	// Method names the operation: ping, stats, cancel, compile, boot,
-	// attack, loadtest, fuzz.
+	// Method names the operation: ping, stats, metrics, cancel, submit,
+	// status, aggregate, compile, boot, attack, loadtest, fuzz, and the
+	// shard methods campaignshard, loadshard, fuzzshard.
 	Method string `json:"method"`
 	// Tenant names the caller for admission control and seed derivation
 	// (empty = "default").
@@ -251,15 +252,55 @@ type BootResult struct {
 	FootprintBytes int `json:"footprint_bytes"`
 }
 
-// CancelParams name the request to cancel by its id on the same
-// connection.
+// CancelParams name the job to cancel: a request in flight on the same
+// connection by its request ID, or a submitted job by its Job id.
 type CancelParams struct {
+	ID  uint64 `json:"id,omitempty"`
+	Job uint64 `json:"job,omitempty"`
+}
+
+// CancelResult reports whether the named job was found still running.
+type CancelResult struct {
+	Canceled bool `json:"canceled"`
+}
+
+// SubmitParams start a job detached from the connection: the request a
+// client would otherwise send as Method with Params. The job runs after the
+// submitting connection closes; status, aggregate and cancel name it by the
+// id SubmitResult returns.
+type SubmitParams struct {
+	Method string          `json:"method"`
+	Params json.RawMessage `json:"params,omitempty"`
+}
+
+// SubmitResult returns a submitted job's id — its flight-recorder trace id.
+type SubmitResult struct {
 	ID uint64 `json:"id"`
 }
 
-// CancelResult reports whether the named request was found still running.
-type CancelResult struct {
-	Canceled bool `json:"canceled"`
+// JobStatus is one submitted job's row in status output.
+type JobStatus struct {
+	ID uint64 `json:"id"`
+	// Kind is the job's method.
+	Kind string `json:"kind"`
+	// State is "running", "done", "failed", or "canceled".
+	State string `json:"state"`
+	Error string `json:"error,omitempty"`
+}
+
+// StatusParams select submitted jobs; ID 0 lists all.
+type StatusParams struct {
+	ID uint64 `json:"id,omitempty"`
+}
+
+// StatusResult lists submitted jobs, ordered by id.
+type StatusResult struct {
+	Jobs []JobStatus `json:"jobs"`
+}
+
+// AggregateParams name the finished submitted job whose result to fetch.
+type AggregateParams struct {
+	ID uint64 `json:"id"`
 }
 
 // ProgressEvent is the payload of "progress" Event lines: exactly one of
@@ -388,6 +429,36 @@ type Stats struct {
 	Pool PoolStats `json:"pool"`
 	// Tenants lists per-tenant usage, ordered by name.
 	Tenants []TenantStats `json:"tenants"`
+	// FrontierEdges is the merged coverage-frontier size of the latest
+	// whole fuzz job's latest round (0 before any).
+	FrontierEdges int `json:"frontier_edges,omitempty"`
+	// Jobs lists the submitted jobs, ordered by id.
+	Jobs []JobStatus `json:"jobs,omitempty"`
+	// Fabric is the range runner's snapshot (fabric coordinators only).
+	Fabric FabricStats `json:"fabric,omitzero"`
+}
+
+// FabricStats is a fabric coordinator's worker table and lease counters.
+type FabricStats struct {
+	Workers []WorkerStats `json:"workers"`
+	// LeasesIssued counts every lease dispatch; LeasesReassigned the
+	// subset re-issued after worker loss or backpressure.
+	LeasesIssued     uint64 `json:"leases_issued"`
+	LeasesReassigned uint64 `json:"leases_reassigned"`
+}
+
+// WorkerStats is one fabric worker's row in FabricStats.
+type WorkerStats struct {
+	Name  string `json:"name"`
+	Alive bool   `json:"alive"`
+	Busy  bool   `json:"busy"`
+	// Leases and ShardsDone count completed leases and the shards they
+	// covered.
+	Leases     int `json:"leases"`
+	ShardsDone int `json:"shards_done"`
+	// ShardsPerSec is shard throughput over the worker's busy wall-clock
+	// time (observability only — wall time never enters reports).
+	ShardsPerSec float64 `json:"shards_per_sec,omitempty"`
 }
 
 // PoolStats reports the warm machine pool.

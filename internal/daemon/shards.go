@@ -49,9 +49,7 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 		}
 		p.AttackParams = NormalizeAttackParams(p.AttackParams)
 		app, scheme, seed, lo, hi = p.Target, p.Scheme, p.Seed, p.Lo, p.Hi
-		run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
-			return campaignRange(ctx, e, p)
-		}
+		run = shardRun(campaignRange, p)
 		if whole {
 			run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
 				ap := p.AttackParams
@@ -80,9 +78,7 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 			return nil, err
 		}
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
-		run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
-			return loadRange(ctx, e, p)
-		}
+		run = shardRun(loadRange, p)
 		if whole {
 			run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
 				lp := p.LoadParams
@@ -109,9 +105,7 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 		}
 		p.FuzzParams = NormalizeFuzzParams(p.FuzzParams)
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
-		run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
-			return fuzzRange(ctx, e, p)
-		}
+		run = shardRun(fuzzRange, p)
 		if whole {
 			run = func(ctx context.Context, e engineEnv) (any, uint64, error) {
 				fp := p.FuzzParams
@@ -120,6 +114,9 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 				res, err := RunFuzz(ctx, e.m, e.img, fp, func(ctx context.Context, pl FuzzPlan) (*pssp.FuzzReport, error) {
 					rep, c, err := runRange(ctx, e, pl, fuzzRange)
 					cost += c
+					if err == nil {
+						d.met.frontierEdges.Set(int64(rep.Edges))
+					}
 					return rep, err
 				})
 				res.Canceled = err != nil
@@ -145,9 +142,48 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 	return d.engineJob(app, s, t, seed, run), nil
 }
 
+// shardRun is a shard job's run: body over the range p names, charged the
+// result's cost.
+func shardRun[S any, R charged](body func(context.Context, engineEnv, S) (R, error), p S) engineRun {
+	return func(ctx context.Context, e engineEnv) (any, uint64, error) {
+		res, err := body(ctx, e, p)
+		return res, res.cost(), err
+	}
+}
+
+// cost charges a campaign range the victim cycles of its completed
+// replications.
+func (r CampaignShardResult) cost() uint64 {
+	var c uint64
+	if r.Partial != nil {
+		for _, out := range r.Partial.Outcomes {
+			c += out.Cycles
+		}
+	}
+	return c
+}
+
+// cost charges a load range its shards' virtual makespans: each shard is
+// one victim machine, busy until its last completion.
+func (r LoadShardResult) cost() uint64 {
+	var c uint64
+	for _, part := range r.Partials {
+		c += part.Makespan
+	}
+	return c
+}
+
+// cost charges a fuzz range its shards' victim cycles.
+func (r FuzzShardResult) cost() uint64 {
+	var c uint64
+	for _, part := range r.Partials {
+		c += part.Cycles
+	}
+	return c
+}
+
 // campaignRange runs replications [Lo, Hi) of the campaign p describes.
-// Its charge is the victim cycles of the completed replications.
-func campaignRange(ctx context.Context, e engineEnv, p CampaignShardParams) (CampaignShardResult, uint64, error) {
+func campaignRange(ctx context.Context, e engineEnv, p CampaignShardParams) (CampaignShardResult, error) {
 	tr := obs.TraceFrom(ctx)
 	cfg := p.CampaignConfig(p.Seed)
 	cfg.Progress = func(cp pssp.CampaignProgress) {
@@ -155,22 +191,14 @@ func campaignRange(ctx context.Context, e engineEnv, p CampaignShardParams) (Cam
 		e.ev.progress(ProgressEvent{Kind: "attack", Campaign: &cp})
 	}
 	part, err := e.m.CampaignShards(ctx, e.img, cfg, p.Lo, p.Hi)
-	var cost uint64
-	if part != nil {
-		for _, out := range part.Outcomes {
-			cost += out.Cycles
-		}
-	}
-	return CampaignShardResult{Partial: part}, cost, err
+	return CampaignShardResult{Partial: part}, err
 }
 
-// loadRange runs workload shards [Lo, Hi) of the scenario p describes. Its
-// charge is the shards' virtual makespans: each shard is one victim
-// machine, busy until its last completion.
-func loadRange(ctx context.Context, e engineEnv, p LoadShardParams) (LoadShardResult, uint64, error) {
+// loadRange runs workload shards [Lo, Hi) of the scenario p describes.
+func loadRange(ctx context.Context, e engineEnv, p LoadShardParams) (LoadShardResult, error) {
 	cfg, err := LoadWorkload(p.LoadParams, p.Label, p.Seed)
 	if err != nil {
-		return LoadShardResult{}, 0, err
+		return LoadShardResult{}, err
 	}
 	tr := obs.TraceFrom(ctx)
 	cfg.Progress = func(lp pssp.LoadProgress) {
@@ -178,19 +206,14 @@ func loadRange(ctx context.Context, e engineEnv, p LoadShardParams) (LoadShardRe
 		e.ev.progress(ProgressEvent{Kind: "loadtest", Load: &lp})
 	}
 	parts, err := e.m.LoadShards(ctx, e.img, cfg, p.Lo, p.Hi)
-	var cost uint64
-	for _, part := range parts {
-		cost += part.Makespan
-	}
-	return LoadShardResult{Partials: parts}, cost, err
+	return LoadShardResult{Partials: parts}, err
 }
 
-// fuzzRange runs fuzzing shards [Lo, Hi) of the run p describes; its charge
-// is their victim cycles. BaseVirgin carries the round's merged coverage
+// fuzzRange runs fuzzing shards [Lo, Hi) of the run p describes. BaseVirgin carries the round's merged coverage
 // frontier into every shard (the frontier-sync path); CorpusDir, when set,
 // flock-merges the range's discoveries into a shared persistent corpus
 // before the result ships — those of an interrupted range too.
-func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardResult, uint64, error) {
+func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardResult, error) {
 	tr := obs.TraceFrom(ctx)
 	cfg := p.FuzzConfig(p.Seed)
 	cfg.Label, cfg.BaseVirgin = p.Label, p.BaseVirgin
@@ -200,10 +223,6 @@ func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardRe
 	}
 	parts, err := e.m.FuzzShards(ctx, e.img, cfg, p.Lo, p.Hi)
 	res := FuzzShardResult{Partials: parts}
-	var cost uint64
-	for _, part := range parts {
-		cost += part.Cycles
-	}
 	if p.CorpusDir != "" && len(parts) > 0 {
 		var ferr error
 		res.CorpusAdded, ferr = foldCorpus(e, p, res)
@@ -211,7 +230,7 @@ func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardRe
 			err = ferr
 		}
 	}
-	return res, cost, err
+	return res, err
 }
 
 // foldCorpus merges the shards of res into p's corpus: it folds them into a

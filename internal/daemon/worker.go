@@ -103,14 +103,15 @@ func (d *Daemon) join(conn net.Conn, name string) error {
 		return errors.New("daemon: register rejected: " + resp.Error.Message)
 	}
 	conn.SetDeadline(time.Time{})
-	return d.ServeConn(bufferedConn{conn, br})
+	return d.ServeConn(BufferedConn{conn, br})
 }
 
-// bufferedConn is a connection whose reads drain a reader that may hold
-// bytes read ahead from it.
-type bufferedConn struct {
+// BufferedConn is a connection whose reads drain R, a reader that may hold
+// bytes already read from it: the worker's register ack reader, and the
+// coordinator's first-line sniff.
+type BufferedConn struct {
 	net.Conn
-	r io.Reader
+	R io.Reader
 }
 
-func (c bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c BufferedConn) Read(p []byte) (int, error) { return c.R.Read(p) }

@@ -1,9 +1,16 @@
-// Package fabric is the distributed evaluation layer: a coordinator that
-// partitions a job's shard range into leases, dispatches them to psspd
-// workers over the newline-delimited JSON-RPC protocol, and merges the
-// returned per-shard partial aggregates in shard order — so a campaign,
-// load sweep, or fuzzing report produced across any number of worker
-// processes is byte-identical to the single-process run at the same seed.
+// Package fabric is the distributed evaluation layer: a coordinator is a
+// psspd daemon whose whole attack, loadtest and fuzz jobs run their plan's
+// shard ranges as leases on psspd workers instead of in process. It
+// partitions each range into leases, dispatches them over the
+// newline-delimited JSON-RPC protocol, and hands the returned per-shard
+// partials to the plan's merge — so a campaign, load sweep, or fuzzing
+// report produced across any number of worker processes is byte-identical
+// to the single-process run at the same seed.
+//
+// Everything but the ranges is the daemon's: validation, seeds, admission,
+// the image cache the plans resolve against, submitted jobs, stats and
+// metrics. A transport is only a different way to deliver shard ranges
+// (daemon.RangeRunner); it has no copy of a job kind.
 //
 // Workers attach two ways: the coordinator dials out to ordinary psspd
 // listeners (Connect, psspctl's -workers list), or workers dial in and
@@ -15,20 +22,26 @@
 // Determinism is inherited, not re-implemented: a lease [lo,hi) names
 // global shard indices, the worker runs them with the exact runner the
 // single-process engines use (shard i ⇒ rng.NewStream(seed, i)), and the
-// coordinator folds the wire partials with the engines' own merge code.
-// Lease loss is therefore harmless to the result: a re-issued lease
-// recomputes bit-identical partials on another worker.
+// plan folds the wire partials with the engines' own merge code. Lease loss
+// is therefore harmless to the result: a re-issued lease recomputes
+// bit-identical partials on another worker.
 package fabric
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/daemon/client"
 	"repro/internal/obs"
+	"repro/pssp"
 )
 
 // Config tunes a Coordinator. The zero value is usable.
@@ -53,13 +66,14 @@ type Config struct {
 	// Logf, when non-nil, receives coordinator life-cycle lines (worker
 	// joins/deaths, lease reassignments).
 	Logf func(format string, args ...any)
-	// Metrics, when non-nil, receives the coordinator's series: lease
-	// dispatch/re-issue counters, lease-latency histogram, watchdog
-	// resets, and per-worker shard throughput. Pure read-side — merged
-	// reports are byte-identical with or without it.
+	// Metrics, when non-nil, receives the coordinator's series: its
+	// daemon's, plus lease dispatch/re-issue counters, lease-latency
+	// histogram, watchdog resets, and per-worker shard throughput. Pure
+	// read-side — merged reports are byte-identical with or without it.
 	Metrics *obs.Registry
-	// Recorder, when non-nil, captures per-job lease traces (dispatch,
-	// completion, re-issue, watchdog fire).
+	// Recorder, when non-nil, is the daemon's flight recorder; each job's
+	// trace holds its lease events (dispatch, completion, re-issue,
+	// watchdog fire).
 	Recorder *obs.Recorder
 }
 
@@ -84,18 +98,20 @@ func (c Config) backoff() time.Duration {
 	return c.Backoff
 }
 
-// Coordinator owns a set of worker connections and runs fabric jobs over
-// them. Jobs (Run, Campaign, Fuzz) may run concurrently;
-// each worker executes one lease at a time.
+// Coordinator is a psspd daemon whose whole jobs lease their shard ranges
+// to a set of worker connections: it is the daemon's range runner. Jobs
+// (the daemon's methods, Campaign, Fuzz) may run concurrently; each worker
+// executes one lease at a time. Stats is the worker table; the embedded
+// daemon's Stats holds it too.
 type Coordinator struct {
+	*daemon.Daemon
+
 	cfg Config
 	met *fabricMetrics
 
 	mu      sync.Mutex
 	workers []*worker
 	wake    chan struct{} // buffered; signaled when a worker joins
-
-	jobs *jobTable
 }
 
 // worker is one attached psspd.
@@ -114,9 +130,9 @@ type worker struct {
 // New builds a Coordinator with no workers attached; Connect or Serve
 // attach them.
 func New(cfg Config) *Coordinator {
-	// The lease and frontier tallies live in registry atomics either way: a
-	// coordinator without Config.Metrics keeps a private registry, so Stats
-	// and the exposition read the same counters.
+	// The lease tallies live in registry atomics either way: a coordinator
+	// without Config.Metrics keeps a private registry, shared with its
+	// daemon, so Stats and the exposition read the same counters.
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -125,10 +141,89 @@ func New(cfg Config) *Coordinator {
 		cfg:  cfg,
 		wake: make(chan struct{}, 1),
 		met:  newFabricMetrics(reg),
-		jobs: &jobTable{jobs: make(map[uint64]*job)},
 	}
-	c.registerCollectors(cfg.Metrics)
+	c.Daemon = daemon.New(daemon.Config{Metrics: reg, Recorder: cfg.Recorder, Ranges: c})
+	c.registerCollectors(reg)
 	return c
+}
+
+// Campaign runs an attack job on the coordinator — its replications leased
+// across the workers — and returns the merged report, the exact shape
+// psspattack -json emits.
+func (c *Coordinator) Campaign(ctx context.Context, p daemon.AttackParams) (*daemon.AttackReport, error) {
+	res, err := c.Do(ctx, "", "attack", p, nil)
+	if err != nil {
+		return nil, err
+	}
+	rep := res.(daemon.AttackReport)
+	return &rep, nil
+}
+
+// Fuzz runs a fuzz job on the coordinator — each round's shards leased
+// across the workers — and returns the merged report, the exact shape
+// psspfuzz -json emits. corpusDir, when non-empty, sets p.CorpusDir: it
+// resolves on the coordinator's host and on the workers', which fold each
+// round's discoveries into it.
+func (c *Coordinator) Fuzz(ctx context.Context, p daemon.FuzzParams, corpusDir string) (*pssp.FuzzReport, error) {
+	p.CorpusDir = corpusDir
+	res, err := c.Do(ctx, "", "fuzz", p, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.(daemon.FuzzResult).FuzzReport, nil
+}
+
+// Serve accepts connections on lis until ctx ends or the listener is
+// closed. A connection whose first request is `register` is a `psspd
+// -worker -join` flipping roles: the coordinator becomes the client of that
+// connection. Every other connection is a control client, served by the
+// coordinator's daemon like any psspd connection.
+func (c *Coordinator) Serve(ctx context.Context, lis net.Listener) error {
+	go func() {
+		<-ctx.Done()
+		lis.Close()
+	}()
+	for {
+		conn, err := lis.Accept()
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil
+			}
+			return err
+		}
+		go c.handleConn(conn)
+	}
+}
+
+// handleConn reads a connection's first line to tell a registering worker
+// from a control client.
+func (c *Coordinator) handleConn(conn net.Conn) {
+	br := bufio.NewReaderSize(conn, 64<<10)
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		conn.Close()
+		return
+	}
+	var req daemon.Request
+	if json.Unmarshal(line, &req) != nil || req.Method != "register" {
+		c.ServeConn(daemon.BufferedConn{Conn: conn, R: io.MultiReader(bytes.NewReader(line), br)})
+		return
+	}
+	var p daemon.RegisterParams
+	json.Unmarshal(req.Params, &p)
+	name := p.Name
+	if name == "" {
+		name = fmt.Sprintf("worker-%d", p.Pid)
+	}
+	ack, _ := json.Marshal(daemon.RegisterResult{OK: true, Name: name})
+	if err := json.NewEncoder(conn).Encode(daemon.Response{ID: req.ID, Result: ack}); err != nil {
+		conn.Close()
+		return
+	}
+	// The handshake is half-duplex: the worker sends nothing after its
+	// register line until we issue requests, so br holds no buffered
+	// post-handshake bytes and the raw conn can carry the client side.
+	c.AttachConn(conn, name)
 }
 
 func (c *Coordinator) logf(format string, args ...any) {
@@ -232,8 +327,10 @@ func (c *Coordinator) KillWorker(name string) bool {
 	return false
 }
 
-// Close tears down every worker connection.
+// Close shuts the coordinator's daemon down, canceling its jobs, then
+// tears down every worker connection.
 func (c *Coordinator) Close() {
+	c.Shutdown(context.Background())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range c.workers {
@@ -271,41 +368,16 @@ func (c *Coordinator) release(w *worker, shards int, elapsed time.Duration) {
 	}
 }
 
-// WorkerStats is one worker's row in Stats.
-type WorkerStats struct {
-	Name  string `json:"name"`
-	Alive bool   `json:"alive"`
-	Busy  bool   `json:"busy"`
-	// Leases and ShardsDone count completed leases and the shards they
-	// covered.
-	Leases     int `json:"leases"`
-	ShardsDone int `json:"shards_done"`
-	// ShardsPerSec is shard throughput over the worker's busy wall-clock
-	// time (observability only — wall time never enters reports).
-	ShardsPerSec float64 `json:"shards_per_sec,omitempty"`
-}
+// Stats is the coordinator's worker table and lease counters.
+type Stats = daemon.FabricStats
 
-// Stats is the coordinator's observability snapshot.
-type Stats struct {
-	Workers []WorkerStats `json:"workers"`
-	// LeasesIssued counts every lease dispatch; LeasesReassigned the
-	// subset re-issued after worker loss or backpressure.
-	LeasesIssued     uint64 `json:"leases_issued"`
-	LeasesReassigned uint64 `json:"leases_reassigned"`
-	// FrontierEdges is the merged coverage-frontier size of the most
-	// recent fuzz job (0 before any).
-	FrontierEdges int `json:"frontier_edges,omitempty"`
-	// Jobs summarizes the control server's job table (serve mode only).
-	Jobs []JobStatus `json:"jobs,omitempty"`
-}
-
-// Stats snapshots the coordinator.
+// Stats snapshots the coordinator's workers and leases.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
-	ws := make([]WorkerStats, len(c.workers))
+	ws := make([]daemon.WorkerStats, len(c.workers))
 	for i, w := range c.workers {
 		w.mu.Lock()
-		ws[i] = WorkerStats{
+		ws[i] = daemon.WorkerStats{
 			Name: w.name, Alive: !w.dead, Busy: w.busy,
 			Leases: w.leases, ShardsDone: w.shardsDone,
 		}
@@ -319,6 +391,5 @@ func (c *Coordinator) Stats() Stats {
 		Workers:          ws,
 		LeasesIssued:     c.met.leasesIssued.Load(),
 		LeasesReassigned: c.met.leasesReassigned.Load(),
-		FrontierEdges:    int(c.met.frontierEdges.Load()),
 	}
 }

@@ -164,20 +164,20 @@ func TestLoadTestAndSweepMatchLocal(t *testing.T) {
 	}
 
 	c := coordinator(t, 2, Config{})
-	got, err := c.Run(context.Background(), SubmitParams{Kind: "loadtest", Load: &p})
+	got, err := c.Do(context.Background(), "", "loadtest", p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := asJSON(t, got), asJSON(t, wantRep); g != w {
+	if g, w := asJSON(t, got.(daemon.LoadResult).Report), asJSON(t, wantRep); g != w {
 		t.Errorf("fabric load report differs from local run:\n got %s\nwant %s", g, w)
 	}
 	ps := p
 	ps.Sweep = []float64{0.5, 1}
-	gotSweep, err := c.Run(context.Background(), SubmitParams{Kind: "loadtest", Load: &ps})
+	gotSweep, err := c.Do(context.Background(), "", "loadtest", ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := asJSON(t, gotSweep), asJSON(t, wantSweep); g != w {
+	if g, w := asJSON(t, gotSweep.(daemon.LoadResult).Sweep), asJSON(t, wantSweep); g != w {
 		t.Errorf("fabric sweep report differs from local run:\n got %s\nwant %s", g, w)
 	}
 }
@@ -210,7 +210,7 @@ func TestFuzzMatchesLocalAndSyncsCorpus(t *testing.T) {
 	if got.CorpusSize == 0 {
 		t.Fatal("fuzz run admitted no corpus entries; corpus sync untestable")
 	}
-	if st := c.Stats(); st.FrontierEdges != got.Edges {
+	if st := c.Daemon.Stats(); st.FrontierEdges != got.Edges {
 		t.Errorf("stats frontier %d, report edges %d", st.FrontierEdges, got.Edges)
 	}
 
@@ -218,7 +218,7 @@ func TestFuzzMatchesLocalAndSyncsCorpus(t *testing.T) {
 	// round resuming from it stalls immediately once coverage is saturated.
 	ps := p
 	ps.CorpusDir, ps.UntilStall = corpusDir, 2
-	res, err := c.Run(context.Background(), SubmitParams{Kind: "fuzz", Fuzz: &ps})
+	res, err := c.Do(context.Background(), "", "fuzz", ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestFuzzRangeRunnersAgree(t *testing.T) {
 	c := coordinator(t, 2, Config{})
 	lp := p
 	lp.CorpusDir = filepath.Join(t.TempDir(), "leased")
-	leased, err := c.Run(context.Background(), SubmitParams{Kind: "fuzz", Fuzz: &lp})
+	leased, err := c.Do(context.Background(), "", "fuzz", lp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,8 @@ func TestFuzzRangeRunnersAgree(t *testing.T) {
 
 func TestFatalWorkerErrorFailsJob(t *testing.T) {
 	c := coordinator(t, 1, Config{})
-	// Unknown app: plan resolution happens worker-side at image compile and
-	// reports internal — fatal, not a reassignment loop.
+	// Unknown app: the coordinator's image compile fails before any lease
+	// — fatal, not a reassignment loop.
 	_, err := c.Fuzz(context.Background(), daemon.FuzzParams{App: "no-such-app", Seed: 3}, "")
 	if err == nil {
 		t.Fatal("want fatal job error for unknown app")
@@ -334,7 +334,7 @@ func TestMalformedPartialFailsJob(t *testing.T) {
 	c := New(Config{})
 	t.Cleanup(c.Close)
 	malformedWorker(t, c)
-	_, err := c.Run(context.Background(), SubmitParams{Kind: "loadtest", Load: &daemon.LoadParams{App: "nginx", Requests: 8, Shards: 2, Seed: 3}})
+	_, err := c.Do(context.Background(), "", "loadtest", daemon.LoadParams{App: "nginx", Requests: 8, Shards: 2, Seed: 3}, nil)
 	if !errors.Is(err, loadgen.ErrMalformedPartial) {
 		t.Errorf("loadtest with short-classes partials: err = %v, want loadgen.ErrMalformedPartial", err)
 	}

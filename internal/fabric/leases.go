@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/daemon"
@@ -18,37 +17,6 @@ type lease struct {
 	retries int
 }
 
-// leaseCall executes one lease on one worker: issue the shard RPC and fold
-// the returned partial into the job's collection. Implementations must be
-// safe for concurrent calls (one per busy worker).
-type leaseCall func(ctx context.Context, w *worker, lo, hi int) error
-
-// leaseAll is the leased range runner: it runs every shard range of pl as
-// a lease across the workers and folds the results with the plan's merge —
-// the one lease-and-merge loop behind every fabric job kind. kind names
-// the job's flight-recorder trace. A merge error (a malformed partial)
-// fails the job like a fatal lease error.
-func leaseAll[S, R, Rep any](ctx context.Context, c *Coordinator, kind string, pl daemon.Plan[S, R, Rep]) (Rep, error) {
-	var mu sync.Mutex
-	var results []R
-	ctx = obs.ContextWithTrace(ctx, c.beginTrace(kind))
-	err := c.runLeases(ctx, pl.Shards, func(ctx context.Context, w *worker, lo, hi int) error {
-		var res R
-		if err := c.callLease(ctx, w, pl.Method, pl.Range(lo, hi), &res); err != nil {
-			return err
-		}
-		mu.Lock()
-		results = append(results, res)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		var zero Rep
-		return zero, err
-	}
-	return pl.Merge(results)
-}
-
 // doneMsg reports one finished dispatch back to the engine loop.
 type doneMsg struct {
 	l       lease
@@ -57,12 +25,15 @@ type doneMsg struct {
 	elapsed time.Duration
 }
 
-// runLeases drives shards [0, shards) to completion across the attached
-// workers: partition into leases, dispatch one lease per idle worker,
-// collect, and re-issue lost leases (bounded by cfg.Retries, with
-// exponential backoff) until every shard has reported. It returns nil only
-// when all shards completed exactly; the merge's duplicate-insensitivity
-// covers re-issued leases whose first attempt had silently succeeded.
+// RunRanges is the daemon's range runner (daemon.RangeRunner): it drives
+// shards [0, shards) to completion across the attached workers —
+// partition into leases, dispatch one lease per idle worker, collect, and
+// re-issue lost leases (bounded by cfg.Retries, with exponential backoff)
+// until every shard has reported. run runs one attempt; its call issues
+// the shard request on the claimed worker. RunRanges returns nil only when
+// all shards completed exactly; the merge's duplicate-insensitivity covers
+// re-issued leases whose first attempt had silently succeeded. Lease events
+// land in ctx's flight-recorder trace — the daemon job's.
 //
 // Error classification is the fault model's heart:
 //   - A worker-reported job error (bad-request, internal, quota) is fatal:
@@ -71,7 +42,7 @@ type doneMsg struct {
 //   - A transport error, shutdown, or lease timeout is infrastructure
 //     loss: the worker is declared dead and the lease re-issued elsewhere.
 //   - Coordinator cancellation propagates as ctx.Err().
-func (c *Coordinator) runLeases(ctx context.Context, shards int, call leaseCall) error {
+func (c *Coordinator) RunRanges(ctx context.Context, shards int, run func(lo, hi int, call func(method string, params, result any) error) error) error {
 	if shards <= 0 {
 		return fmt.Errorf("fabric: job has no shards")
 	}
@@ -156,7 +127,9 @@ func (c *Coordinator) runLeases(ctx context.Context, shards int, call leaseCall)
 			tr.Event("lease dispatch", 0, leaseRange(l.lo, l.hi))
 			go func(l lease, w *worker) {
 				start := time.Now()
-				err := call(lctx, w, l.lo, l.hi)
+				err := run(l.lo, l.hi, func(method string, params, result any) error {
+					return c.callLease(lctx, w, method, params, result)
+				})
 				done <- doneMsg{l: l, w: w, err: err, elapsed: time.Since(start)}
 			}(l, w)
 		}

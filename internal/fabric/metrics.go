@@ -2,22 +2,19 @@ package fabric
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // fabricMetrics is the coordinator's registry slice: one atomic per fact.
-// The lease counters and the frontier gauge are the storage Stats reads
-// back, so the stats RPC and the exposition cannot disagree.
+// The lease counters are the storage Stats reads back, so the stats RPC
+// and the exposition cannot disagree.
 type fabricMetrics struct {
 	leasesIssued     *obs.Counter
 	leasesReassigned *obs.Counter
 	watchdogResets   *obs.Counter
 	workersLost      *obs.Counter
-	frontierEdges    *obs.Gauge // merged frontier size of the latest fuzz job
-	leaseLatency     *obs.Hist  // ns per completed lease
-	jobSeq           atomic.Uint64
+	leaseLatency     *obs.Hist // ns per completed lease
 }
 
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
@@ -26,7 +23,6 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 		leasesReassigned: reg.Counter("fabric_leases_reassigned_total"),
 		watchdogResets:   reg.Counter("fabric_watchdog_resets_total"),
 		workersLost:      reg.Counter("fabric_workers_lost_total"),
-		frontierEdges:    reg.Gauge("fabric_frontier_edges"),
 		leaseLatency:     reg.Hist("fabric_lease_latency_ns"),
 	}
 }
@@ -34,9 +30,6 @@ func newFabricMetrics(reg *obs.Registry) *fabricMetrics {
 // registerCollectors emits the per-worker view (shards/sec, liveness) at
 // scrape time, straight from the same snapshot the stats RPC serves.
 func (c *Coordinator) registerCollectors(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.Collect(func(emit func(name string, value float64)) {
 		st := c.Stats()
 		alive := 0
@@ -49,16 +42,6 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 		}
 		emit("fabric_workers_alive", float64(alive))
 	})
-}
-
-// beginTrace opens a flight-recorder trace for one fabric job (campaign,
-// loadtest, sweep point, fuzz). Returns a nil trace when no recorder is
-// configured.
-func (c *Coordinator) beginTrace(kind string) *obs.Trace {
-	if c.cfg.Recorder == nil {
-		return nil
-	}
-	return c.cfg.Recorder.Begin(c.met.jobSeq.Add(1), kind)
 }
 
 // leaseRange renders a lease's shard range for trace details.

@@ -9,13 +9,12 @@ import (
 	"repro/pssp"
 )
 
-// threeWayServer measures one server app under the paper's three settings:
-// native (SSP default), compiler-based P-SSP, and instrumentation-based
-// P-SSP. It returns average request cycles and the worker memory footprint
-// for each. The three settings run on concurrent sessions, one Machine
-// each; the seeds match the sequential formulation so results are
-// bit-identical.
-func threeWayServer(cfg Config, app apps.App, requests int) (avg [3]float64, mem [3]int, err error) {
+// threeWay runs measure once per setting of the paper's three — native
+// (SSP default), compiler-based P-SSP, and instrumentation-based P-SSP —
+// with app built under that setting. The settings run on concurrent
+// sessions, one Machine each; the seeds match the sequential formulation
+// so results are bit-identical.
+func threeWay(cfg Config, app apps.App, measure func(ctx context.Context, m *pssp.Machine, img *pssp.Image, setting int) error) error {
 	builds := [3]func(m *pssp.Machine) (*pssp.Image, error){
 		func(m *pssp.Machine) (*pssp.Image, error) {
 			return m.Compile(app.Prog, pssp.CompileScheme(core.SchemeSSP))
@@ -30,7 +29,7 @@ func threeWayServer(cfg Config, app apps.App, requests int) (avg [3]float64, mem
 				Image()
 		},
 	}
-	err = pssp.RunSessions(context.Background(), len(builds),
+	return pssp.RunSessions(context.Background(), len(builds),
 		func(i int) []pssp.Option {
 			return []pssp.Option{pssp.WithSeed(cfg.Seed + uint64(i)), pssp.WithEngine(cfg.Engine), pssp.WithStore(cfg.Store)}
 		},
@@ -40,13 +39,21 @@ func threeWayServer(cfg Config, app apps.App, requests int) (avg [3]float64, mem
 			if err != nil {
 				return err
 			}
-			a, m, err := serverStats(ctx, s.Machine(), img, app.Request, requests)
-			if err != nil {
+			if err := measure(ctx, s.Machine(), img, i); err != nil {
 				return fmt.Errorf("%s setting %d: %w", app.Name, i, err)
 			}
-			avg[i], mem[i] = a, m
 			return nil
 		})
+}
+
+// threeWayServer measures one server app's average request cycles and
+// worker memory footprint under each of the three settings.
+func threeWayServer(cfg Config, app apps.App, requests int) (avg [3]float64, mem [3]int, err error) {
+	err = threeWay(cfg, app, func(ctx context.Context, m *pssp.Machine, img *pssp.Image, i int) error {
+		var err error
+		avg[i], mem[i], err = serverStats(ctx, m, img, app.Request, requests)
+		return err
+	})
 	return avg, mem, err
 }
 

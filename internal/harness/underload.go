@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/pssp"
 )
 
@@ -35,41 +34,14 @@ func underLoadWorkload(cfg Config, app apps.App) pssp.WorkloadConfig {
 	}
 }
 
-// threeWayLoad load-tests one server app under the paper's three settings
-// (native SSP, compiler P-SSP, instrumentation-based P-SSP) on concurrent
-// sessions, one Machine each.
+// threeWayLoad load-tests one server app under each of the paper's three
+// settings (see threeWay).
 func threeWayLoad(cfg Config, app apps.App) (reports [3]*pssp.LoadReport, err error) {
-	builds := [3]func(m *pssp.Machine) (*pssp.Image, error){
-		func(m *pssp.Machine) (*pssp.Image, error) {
-			return m.Compile(app.Prog, pssp.CompileScheme(core.SchemeSSP))
-		},
-		func(m *pssp.Machine) (*pssp.Image, error) {
-			return m.Compile(app.Prog, pssp.CompileScheme(core.SchemePSSP))
-		},
-		func(m *pssp.Machine) (*pssp.Image, error) {
-			return m.Pipeline().
-				Compile(app.Prog, pssp.CompileScheme(core.SchemeSSP)).
-				Rewrite().
-				Image()
-		},
-	}
-	err = pssp.RunSessions(context.Background(), len(builds),
-		func(i int) []pssp.Option {
-			return []pssp.Option{pssp.WithSeed(cfg.Seed + uint64(i)), pssp.WithEngine(cfg.Engine), pssp.WithStore(cfg.Store)}
-		},
-		func(ctx context.Context, s *pssp.Session) error {
-			i := s.ID()
-			img, err := builds[i](s.Machine())
-			if err != nil {
-				return err
-			}
-			rep, err := s.Machine().LoadTest(ctx, img, underLoadWorkload(cfg, app))
-			if err != nil {
-				return fmt.Errorf("%s setting %d: %w", app.Name, i, err)
-			}
-			reports[i] = rep
-			return nil
-		})
+	err = threeWay(cfg, app, func(ctx context.Context, m *pssp.Machine, img *pssp.Image, i int) error {
+		var err error
+		reports[i], err = m.LoadTest(ctx, img, underLoadWorkload(cfg, app))
+		return err
+	})
 	return reports, err
 }
 
