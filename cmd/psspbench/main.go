@@ -76,60 +76,58 @@ func main() {
 		Store:        st,
 	}
 
+	// drivers lists every experiment by its -experiment name, in -all order.
 	type driver struct {
-		name string
-		run  func(harness.Config) (*harness.Table, error)
+		key, name string
+		run       func(harness.Config) (*harness.Table, error)
 	}
-	drivers := map[string]driver{
-		"table1":        {"Table I", harness.Table1},
-		"table2":        {"Table II", harness.Table2},
-		"table3":        {"Table III", harness.Table3},
-		"table4":        {"Table IV", harness.Table4},
-		"table5":        {"Table V", func(c harness.Config) (*harness.Table, error) { return harness.Table5(c, *sweep) }},
-		"figure5":       {"Figure 5", harness.Figure5},
-		"effectiveness": {"Effectiveness", harness.Effectiveness},
-		"compat":        {"Compatibility", harness.Compatibility},
-		"globalbuffer":  {"Global buffer", harness.GlobalBuffer},
-		"entropy":       {"Entropy ablation", harness.EntropyAblation},
-		"latency":       {"Detection latency", harness.DetectionLatency},
-		"underload":     {"Overhead under load", harness.UnderLoad},
-		"fuzzdiscovery": {"Fuzz discovery", harness.FuzzDiscovery},
+	drivers := []driver{
+		{"table1", "Table I", harness.Table1},
+		{"table2", "Table II", harness.Table2},
+		{"table3", "Table III", harness.Table3},
+		{"table4", "Table IV", harness.Table4},
+		{"table5", "Table V", func(c harness.Config) (*harness.Table, error) { return harness.Table5(c, *sweep) }},
+		{"figure5", "Figure 5", harness.Figure5},
+		{"effectiveness", "Effectiveness", harness.Effectiveness},
+		{"compat", "Compatibility", harness.Compatibility},
+		{"globalbuffer", "Global buffer", harness.GlobalBuffer},
+		{"entropy", "Entropy ablation", harness.EntropyAblation},
+		{"latency", "Detection latency", harness.DetectionLatency},
+		{"underload", "Overhead under load", harness.UnderLoad},
+		{"fuzzdiscovery", "Fuzz discovery", harness.FuzzDiscovery},
 	}
 
-	var selected []string
+	var want string // "" selects every driver
 	switch {
 	case *all:
-		selected = []string{
-			"table1", "table2", "table3", "table4", "table5",
-			"figure5", "effectiveness", "compat", "globalbuffer",
-			"entropy", "latency", "underload", "fuzzdiscovery",
-		}
 	case *table >= 1 && *table <= 5:
-		selected = []string{fmt.Sprintf("table%d", *table)}
+		want = fmt.Sprintf("table%d", *table)
 	case *figure == 5:
-		selected = []string{"figure5"}
+		want = "figure5"
 	case *experiment != "":
-		if _, ok := drivers[*experiment]; !ok {
-			// List every valid name so the fix is discoverable from the
-			// message alone, mirroring core.ParseScheme's error.
-			names := make([]string, 0, len(drivers))
-			for name := range drivers {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			fmt.Fprintf(os.Stderr, "psspbench: unknown experiment %q (have %s)\n",
-				*experiment, strings.Join(names, ", "))
-			os.Exit(2)
-		}
-		selected = []string{*experiment}
+		want = *experiment
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+	var selected []driver
+	var names []string
+	for _, d := range drivers {
+		names = append(names, d.key)
+		if want == "" || d.key == want {
+			selected = append(selected, d)
+		}
+	}
+	if len(selected) == 0 {
+		// List every valid name so the fix is discoverable from the
+		// message alone, mirroring core.ParseScheme's error.
+		sort.Strings(names)
+		fmt.Fprintf(os.Stderr, "psspbench: unknown experiment %q (have %s)\n", want, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
 	var tables []*harness.Table
-	for _, name := range selected {
-		d := drivers[name]
+	for _, d := range selected {
 		t, err := d.run(cfg)
 		if err != nil {
 			cliutil.Fail("psspbench", fmt.Errorf("%s: %w", d.name, err))

@@ -15,8 +15,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
+	"repro/internal/cliutil"
 	"repro/pssp"
 )
 
@@ -31,10 +31,7 @@ func main() {
 		libcIn   = flag.String("libc-in", "", "existing libc image (dynamic linkage)")
 	)
 	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "psspcc: %v\n", err)
-		os.Exit(1)
-	}
+	fail := func(err error) { cliutil.Fail("psspcc", err) }
 
 	if *list {
 		for _, app := range pssp.Apps() {

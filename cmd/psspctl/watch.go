@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/daemon/client"
 	"repro/internal/obs"
 )
@@ -44,13 +45,12 @@ func runWatch(ctx context.Context, c *client.Client, addr string) error {
 	}
 }
 
-// watchFrame renders one dashboard screen.
+// watchFrame renders one dashboard screen: statsText plus the metrics.
 func watchFrame(ctx context.Context, c *client.Client, addr string) (string, error) {
 	st, err := c.Stats(ctx)
 	if err != nil {
 		return "", err
 	}
-	fs := st.Fabric
 	var series []obs.Series
 	if err := c.Call(ctx, "metrics", nil, &series); err != nil {
 		return "", err
@@ -59,29 +59,7 @@ func watchFrame(ctx context.Context, c *client.Client, addr string) (string, err
 	var b strings.Builder
 	fmt.Fprintf(&b, "psspctl watch — %s — %s (refresh %s, ^C to quit)\n\n",
 		addr, time.Now().Format("15:04:05"), watchInterval)
-
-	fmt.Fprintf(&b, "leases: %d issued, %d reassigned", fs.LeasesIssued, fs.LeasesReassigned)
-	if st.FrontierEdges > 0 {
-		fmt.Fprintf(&b, " — frontier %d edges", st.FrontierEdges)
-	}
-	b.WriteString("\n\nworkers:\n")
-	if len(fs.Workers) == 0 {
-		b.WriteString("  (none attached)\n")
-	}
-	for _, w := range fs.Workers {
-		fmt.Fprintf(&b, "  %-24s %-4s leases=%-5d shards=%-7d %8.1f shards/s\n",
-			w.Name, workerState(w), w.Leases, w.ShardsDone, w.ShardsPerSec)
-	}
-	if len(st.Jobs) > 0 {
-		b.WriteString("\njobs:\n")
-		for _, j := range st.Jobs {
-			fmt.Fprintf(&b, "  %4d %-9s %s", j.ID, j.Kind, j.State)
-			if j.Error != "" {
-				fmt.Fprintf(&b, ": %s", j.Error)
-			}
-			b.WriteByte('\n')
-		}
-	}
+	b.WriteString(statsText(st))
 	if len(series) > 0 {
 		b.WriteString("\nmetrics:\n")
 		for _, s := range series {
@@ -94,6 +72,49 @@ func watchFrame(ctx context.Context, c *client.Client, addr string) (string, err
 		}
 	}
 	return b.String(), nil
+}
+
+// statsText renders a daemon's stats, for -stats and the dashboard: the
+// lease counters, the worker table and the submitted jobs.
+func statsText(st daemon.Stats) string {
+	var b strings.Builder
+	fs := st.Fabric
+	fmt.Fprintf(&b, "leases: %d issued, %d reassigned", fs.LeasesIssued, fs.LeasesReassigned)
+	if st.FrontierEdges > 0 {
+		fmt.Fprintf(&b, " — frontier %d edges", st.FrontierEdges)
+	}
+	b.WriteString("\n\nworkers:\n")
+	if len(fs.Workers) == 0 {
+		b.WriteString("  (none attached)\n")
+	}
+	for _, w := range fs.Workers {
+		state := "idle"
+		switch {
+		case !w.Alive:
+			state = "dead"
+		case w.Busy:
+			state = "busy"
+		}
+		fmt.Fprintf(&b, "  %-24s %-4s leases=%-5d shards=%-7d %8.1f shards/s\n",
+			w.Name, state, w.Leases, w.ShardsDone, w.ShardsPerSec)
+	}
+	if len(st.Jobs) > 0 {
+		b.WriteString("\njobs:\n" + jobsText(st.Jobs))
+	}
+	return b.String()
+}
+
+// jobsText lists submitted jobs, one line each.
+func jobsText(jobs []daemon.JobStatus) string {
+	var b strings.Builder
+	for _, j := range jobs {
+		fmt.Fprintf(&b, "job %d %-9s %s", j.ID, j.Kind, j.State)
+		if j.Error != "" {
+			fmt.Fprintf(&b, ": %s", j.Error)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // watchDur renders a nanosecond quantile human-readably.

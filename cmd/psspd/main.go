@@ -49,7 +49,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -137,19 +136,12 @@ func main() {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errc := make(chan error, 1)
-	var sock string // a unix socket file to remove on drain
 	if *workerMode {
 		go func() { errc <- d.Worker(ctx, *join, *name) }()
 		logger.Infof("worker joining %s (seed %d, %d job slots, pool %d)",
 			*join, *seed, *maxJobs, *poolSize)
 	} else {
-		network, target := daemon.SplitAddr(*listen)
-		if network == "unix" {
-			// A stale socket file from a previous run would fail the bind.
-			os.Remove(target)
-			sock = target
-		}
-		lis, err := net.Listen(network, target)
+		lis, err := cliutil.Listen(*listen)
 		if err != nil {
 			fail(err)
 		}
@@ -174,9 +166,6 @@ func main() {
 			// The pool's machines are all closed once Shutdown returns, so no
 			// live address space aliases the store's mappings.
 			st.Close()
-		}
-		if sock != "" {
-			os.Remove(sock)
 		}
 		if err != nil {
 			fail(fmt.Errorf("drain: %w", err))

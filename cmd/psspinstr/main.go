@@ -12,8 +12,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
+	"repro/internal/cliutil"
 	"repro/pssp"
 )
 
@@ -25,10 +25,7 @@ func main() {
 		libcO  = flag.String("libc-o", "", "output instrumented libc (dynamic apps)")
 	)
 	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "psspinstr: %v\n", err)
-		os.Exit(1)
-	}
+	fail := func(err error) { cliutil.Fail("psspinstr", err) }
 	if *in == "" || *out == "" {
 		fail(fmt.Errorf("need -in and -o"))
 	}

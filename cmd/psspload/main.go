@@ -25,7 +25,8 @@
 // either "benign" (the app's built-in request payload) or "probe=NAME" with
 // NAME a registered attack strategy (see psspattack's -strategy help). It is
 // parsed by the shared cliutil.ParseMix, the same weighted-spec grammar
-// psspfuzz's -seeds/-dict flags use.
+// psspfuzz's -seeds/-dict flags use. The scenario flags are the loadtest
+// kind's, declared once in cliutil and shared with `psspctl loadtest`.
 //
 // -smoke N load-tests the daemon itself rather than a simulated victim: it
 // opens -conns real client connections and pushes N boot jobs for one
@@ -41,15 +42,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/daemon"
 	"repro/internal/daemon/client"
 	"repro/internal/obs"
-	"repro/pssp"
+	"repro/internal/workpool"
 )
 
 // smokeReport is the -smoke output: wall-clock job latency over real client
@@ -77,11 +76,11 @@ type smokeReport struct {
 	Stats       daemon.Stats `json:"stats"`
 }
 
-// runSmoke pushes jobs boot jobs for one (app, scheme, seed) triple through
+// runSmoke pushes jobs boot jobs for p's (app, scheme, seed) triple through
 // nconns real client connections: the first checkout builds the machine
 // cold, every later one should be a warm pool hit, so the p99 approximates
 // the daemon's warm dispatch floor over a real transport.
-func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, nconns int, jsonOut bool) error {
+func runSmoke(remote, tenant string, p daemon.LoadParams, jobs, nconns int, jsonOut bool) error {
 	if nconns <= 0 {
 		nconns = 1
 	}
@@ -98,35 +97,25 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 		clients[i] = c
 	}
 
+	// Each connection is one worker pushing its share of the jobs; the
+	// first failure cancels the rest.
 	ctx := context.Background()
 	var latency obs.Hist // ns per job
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
 	start := time.Now()
-	for _, c := range clients {
-		wg.Add(1)
-		go func(c *client.Client) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= jobs || firstErr.Load() != nil {
-					return
-				}
-				t0 := time.Now()
-				err := c.Call(ctx, "boot", daemon.BootParams{App: app, Scheme: s.String(), Seed: seed},
-					nil, client.WithTenant(tenant))
-				latency.Record(uint64(time.Since(t0)))
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
+	err := workpool.Run(ctx, nconns, nconns, func(ctx context.Context, i int) error {
+		for n := workpool.Share(jobs, i, nconns); n > 0; n-- {
+			t0 := time.Now()
+			err := clients[i].Call(ctx, "boot", daemon.BootParams{App: p.App, Scheme: p.Scheme, Seed: p.Seed},
+				nil, client.WithTenant(tenant))
+			latency.Record(uint64(time.Since(t0)))
+			if err != nil {
+				return err
 			}
-		}(c)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	elapsed := time.Since(start)
-	if err, ok := firstErr.Load().(error); ok && err != nil {
+	if err != nil {
 		return err
 	}
 
@@ -137,7 +126,7 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 		return err
 	}
 	rep := smokeReport{
-		App: app, Scheme: s.String(), Seed: seed, Jobs: jobs, Conns: nconns,
+		App: p.App, Scheme: p.Scheme, Seed: p.Seed, Jobs: jobs, Conns: nconns,
 		P50Micros:     micros(lat.Quantile(0.50)),
 		P99Micros:     micros(lat.Quantile(0.99)),
 		MaxMicros:     micros(lat.Max),
@@ -152,7 +141,7 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 		return cliutil.EmitJSON(os.Stdout, rep)
 	}
 	fmt.Printf("smoke %s (scheme %s, seed %d): %d boot jobs over %d connection(s) in %.1f ms (%.0f jobs/s)\n",
-		app, s, seed, jobs, nconns, rep.ElapsedMicros/1000, rep.JobsPerSec)
+		p.App, p.Scheme, p.Seed, jobs, nconns, rep.ElapsedMicros/1000, rep.JobsPerSec)
 	fmt.Printf("  wall-clock job latency: p50 %.0f µs  p99 %.0f µs  max %.0f µs\n",
 		rep.P50Micros, rep.P99Micros, rep.MaxMicros)
 	fmt.Printf("  pool: %d hits / %d misses (hit rate %.3f), %d parked, %d images\n",
@@ -164,74 +153,27 @@ func runSmoke(remote, tenant, app string, s pssp.Scheme, seed uint64, jobs, ncon
 }
 
 func main() {
-	var (
-		app      = flag.String("app", "nginx", "built-in server app to load (see pssp.Apps)")
-		scheme   = flag.String("scheme", "p-ssp", "protection scheme of the servers")
-		mixSpec  = flag.String("mix", "benign:1", "traffic mix, e.g. 'benign:3,probe=adaptive:1'")
-		arrivals = flag.String("arrivals", "poisson", "arrival model: poisson | uniform | closed")
-		rate     = flag.Float64("rate", 10, "open-loop offered rate (requests per million victim cycles)")
-		clients  = flag.Int("clients", 8, "closed-loop client population")
-		think    = flag.Float64("think", 0, "closed-loop mean think time (cycles)")
-		requests = flag.Int("requests", 256, "total request budget (0 = duration-bounded)")
-		duration = flag.Uint64("duration", 0, "virtual-time horizon in cycles (0 = request-bounded)")
-		shards   = flag.Int("shards", 4, "replica servers the clients shard over (part of the scenario)")
-		workers  = flag.Int("workers", 0, "concurrent shard executors (0 = GOMAXPROCS; wall-clock only)")
-		budget   = flag.Int("budget", 64, "probe trials per attack replication")
-		sweep    = flag.String("sweep", "", "offered-load multipliers, e.g. '0.5,1,2,4' (locates the saturation knee)")
-		jsonOut  = flag.Bool("json", false, "emit one machine-readable JSON object")
-		seed     = flag.Uint64("seed", 1, "simulation seed (0 = drawn from the tenant's seed stream)")
-		storeDir = flag.String("store", "", "content-addressed artifact store directory (local runs; empty = compile in-process)")
-		remote   = flag.String("remote", "", "run on a psspd daemon at this address (unix:/path or host:port)")
-		tenant   = flag.String("tenant", "", "tenant name presented to the daemon (default \"default\")")
-		smoke    = flag.Int("smoke", 0, "daemon smoke mode: push this many boot jobs over real connections and report wall-clock latency + pool hit rate (requires -remote)")
-		conns    = flag.Int("conns", 4, "client connections for -smoke")
-	)
+	job := cliutil.LoadJob(flag.CommandLine)
+	conn := cliutil.ConnFlags(flag.CommandLine)
+	smoke := flag.Int("smoke", 0, "daemon smoke mode: push this many boot jobs over real connections and report wall-clock latency + pool hit rate (requires -remote)")
+	conns := flag.Int("conns", 4, "client connections for -smoke")
 	flag.Parse()
 	fail := func(err error) { cliutil.Fail("psspload", err) }
 
-	s, err := pssp.ParseScheme(*scheme)
-	if err != nil {
-		fail(err)
-	}
-	mix, err := cliutil.ParseMix(*mixSpec)
-	if err != nil {
-		fail(err)
-	}
-	multipliers, err := cliutil.ParseSweep(*sweep)
-	if err != nil {
-		fail(err)
-	}
-	p := daemon.LoadParams{
-		App: *app, Scheme: s.String(), Mix: mix, Arrivals: *arrivals,
-		Rate: *rate, Clients: *clients, ThinkCycles: *think,
-		Requests: *requests, DurationCycles: *duration,
-		Shards: *shards, Workers: *workers, Budget: *budget,
-		Sweep: multipliers, Seed: *seed,
-	}
-
 	if *smoke > 0 {
-		if *remote == "" {
+		p, err := job.Params()
+		if err != nil {
+			fail(err)
+		}
+		if conn.Remote == "" {
 			fail(fmt.Errorf("-smoke requires -remote: it measures a live daemon over real connections"))
 		}
-		if err := runSmoke(*remote, *tenant, *app, s, *seed, *smoke, *conns, *jsonOut); err != nil {
+		if err := runSmoke(conn.Remote, conn.Tenant, p.(daemon.LoadParams), *smoke, *conns, job.JSON()); err != nil {
 			fail(err)
 		}
 		return
 	}
-
-	c, stop, err := cliutil.Connect("psspload", *remote, *storeDir)
-	if err != nil {
-		fail(err)
-	}
-	defer stop()
-	var res daemon.LoadResult
-	if err := c.Call(context.Background(), "loadtest", p, &res, client.WithTenant(*tenant)); err != nil {
-		fail(err)
-	}
-	if res.Canceled {
-		fmt.Fprintln(os.Stderr, "psspload: job canceled; partial report follows")
-	}
-	if err := cliutil.EmitLoad(res, p, *jsonOut); err != nil {
+	if err := conn.Run("psspload", job); err != nil {
 		fail(err)
 	}
 }

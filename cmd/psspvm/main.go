@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliutil"
 	"repro/pssp"
 )
 
@@ -33,10 +34,7 @@ func main() {
 		stats    = flag.Bool("stats", false, "print per-opcode execution statistics")
 	)
 	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintf(os.Stderr, "psspvm: %v\n", err)
-		os.Exit(1)
-	}
+	fail := func(err error) { cliutil.Fail("psspvm", err) }
 	if *binPath == "" {
 		fail(fmt.Errorf("need -bin"))
 	}

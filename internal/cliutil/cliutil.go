@@ -1,7 +1,7 @@
 // Package cliutil holds the small shared conventions of the cmd/ CLIs, so
-// they do not drift: one JSON report encoder (psspattack, psspbench and
-// psspload all emit machine-readable reports through it) and the common
-// fail-fast error exit.
+// they do not drift: each job kind's scenario flags and run path (job.go),
+// one JSON report encoder, the text renderers, and the common fail-fast
+// error exit.
 package cliutil
 
 import (

@@ -47,13 +47,6 @@ func NewLogger(prog string, level Level) *Logger {
 	return &Logger{prog: prog, level: level, w: os.Stderr}
 }
 
-// SetOutput redirects the logger (tests).
-func (l *Logger) SetOutput(w io.Writer) {
-	l.mu.Lock()
-	l.w = w
-	l.mu.Unlock()
-}
-
 // Enabled reports whether lines at lv would be emitted.
 func (l *Logger) Enabled(lv Level) bool { return l != nil && lv <= l.level }
 

@@ -2,17 +2,15 @@ package cliutil
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/daemon"
 	"repro/pssp"
 )
 
-// The one human renderer per job kind. The single-process CLIs
-// (psspattack, psspload, psspfuzz) and psspctl's one-shot mode print their
-// text output through these, so a report renders the same whichever path
-// produced it; -json output bypasses them.
+// The one human renderer per job kind. Each kind's Job.Run prints its text
+// output through these, for its own CLI and for psspctl alike; -json
+// output bypasses them.
 
 // PrintAttack renders an attack report.
 func PrintAttack(rep daemon.AttackReport) {
@@ -77,23 +75,6 @@ func PrintLoad(rep *pssp.LoadReport) {
 		fmt.Printf("  class %-12s %5d req, %4d crashes, %4d detections, p50 %s µs, p99 %s µs\n",
 			c.Name, c.Requests, c.Crashes, c.Detections, us(c.Latency.P50), us(c.Latency.P99))
 	}
-}
-
-// EmitLoad prints the result of the load job p: with jsonOut the inner
-// report bare — the LoadReport of a single workload, the LoadSweepReport of
-// a sweep — otherwise through PrintLoad or PrintSweep.
-func EmitLoad(res daemon.LoadResult, p daemon.LoadParams, jsonOut bool) error {
-	switch {
-	case jsonOut && res.Sweep != nil:
-		return EmitJSON(os.Stdout, res.Sweep)
-	case jsonOut:
-		return EmitJSON(os.Stdout, res.Report)
-	case res.Sweep != nil:
-		PrintSweep(res.Sweep, p)
-	default:
-		PrintLoad(res.Report)
-	}
-	return nil
 }
 
 // PrintSweep renders the offered-load sweep of the load job p.

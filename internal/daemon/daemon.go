@@ -512,8 +512,26 @@ func badRequest(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errBadRequest, fmt.Sprintf(format, args...))
 }
 
-// maxLine bounds one request line (fuzz corpora ride in requests).
-const maxLine = 8 << 20
+// MaxLine bounds one protocol line (fuzz corpora ride in requests).
+const MaxLine = 8 << 20
+
+// ReadLine reads one newline-terminated protocol line from br — the
+// register handshake's lines, read before ServeConn's scanner takes over —
+// failing once MaxLine bytes pass without a newline, the bound ServeConn's
+// scanner puts on every request line.
+func ReadLine(br *bufio.Reader) ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		line = append(line, frag...)
+		if err != bufio.ErrBufferFull {
+			return line, err
+		}
+		if len(line) >= MaxLine {
+			return nil, fmt.Errorf("daemon: protocol line exceeds %d bytes", MaxLine)
+		}
+	}
+}
 
 // ServeConn serves one established connection until it drops or the
 // daemon shuts down: a read loop dispatching each request into its own
@@ -561,7 +579,7 @@ func (d *Daemon) ServeConn(conn net.Conn) error {
 	}()
 
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), maxLine)
+	sc.Buffer(make([]byte, 64<<10), MaxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {

@@ -6,10 +6,11 @@ import "repro/pssp"
 // kind, shared by the per-kind plans (plan.go) and range runs (shards.go).
 // A coordinator plans a job from the same normalized params a worker
 // executes a lease from, so the two resolve the same scenario by
-// construction — the defaults here are psspattack/psspload/psspfuzz's flag
-// defaults, so a job that leaves a knob unset runs what the CLI would.
+// construction. The defaults here are the one home of each job default:
+// the CLIs' scenario flags (cliutil's job kinds) take theirs from these, so
+// a job that leaves a knob unset runs what the CLI would.
 
-// NormalizeAttackParams applies psspattack's flag defaults (Seed excepted:
+// NormalizeAttackParams applies the attack job's defaults (Seed excepted:
 // 0 keeps meaning "derive from the tenant stream" for whole jobs, and is
 // rejected by shard jobs).
 func NormalizeAttackParams(p AttackParams) AttackParams {
@@ -40,7 +41,7 @@ func (p AttackParams) CampaignConfig(seed uint64) pssp.CampaignConfig {
 	}
 }
 
-// NormalizeLoadParams applies psspload's flag defaults.
+// NormalizeLoadParams applies the loadtest job's defaults.
 func NormalizeLoadParams(p LoadParams) LoadParams {
 	if p.App == "" {
 		p.App = "nginx"
@@ -63,7 +64,7 @@ func NormalizeLoadParams(p LoadParams) LoadParams {
 	return p
 }
 
-// NormalizeFuzzParams applies psspfuzz's flag defaults (the engine itself
+// NormalizeFuzzParams applies the fuzz job's defaults (the engine itself
 // defaults execs/shards/max-input).
 func NormalizeFuzzParams(p FuzzParams) FuzzParams {
 	if p.App == "" {

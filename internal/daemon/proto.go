@@ -313,7 +313,7 @@ type ProgressEvent struct {
 }
 
 // AttackReport is the attack job's result — the exact shape psspattack
-// and psspctl -job campaign emit with -json, shared so the two cannot drift
+// and psspctl attack emit with -json, shared so the two cannot drift
 // (the e2e determinism contract is byte-identical JSON for a fixed seed).
 type AttackReport struct {
 	Target          string  `json:"target"`

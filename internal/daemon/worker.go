@@ -91,7 +91,7 @@ func (d *Daemon) join(conn net.Conn, name string) error {
 		return fmt.Errorf("daemon: sending register: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	line, err := br.ReadBytes('\n')
+	line, err := ReadLine(br)
 	if err != nil {
 		return fmt.Errorf("daemon: reading register ack: %w", err)
 	}

@@ -199,7 +199,7 @@ func (c *Coordinator) Serve(ctx context.Context, lis net.Listener) error {
 // from a control client.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
-	line, err := br.ReadBytes('\n')
+	line, err := daemon.ReadLine(br)
 	if err != nil {
 		conn.Close()
 		return
@@ -210,7 +210,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		return
 	}
 	var p daemon.RegisterParams
-	json.Unmarshal(req.Params, &p)
+	if err := json.Unmarshal(req.Params, &p); err != nil {
+		// The connection closes whether or not the reply reaches the peer.
+		_ = json.NewEncoder(conn).Encode(daemon.Response{ID: req.ID, Error: &daemon.Error{
+			Code: daemon.CodeBadRequest, Message: "malformed register params: " + err.Error()}})
+		conn.Close()
+		return
+	}
 	name := p.Name
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", p.Pid)

@@ -2,10 +2,12 @@ package fabric
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
 	"testing"
@@ -377,5 +379,45 @@ func TestWorkerJoinViaServeRegister(t *testing.T) {
 	}
 	if g := asJSON(t, got); g != want {
 		t.Errorf("dial-in worker report differs from local run:\n got %s\nwant %s", g, want)
+	}
+}
+
+// TestFirstLineSniffIsBounded: the coordinator reads a connection's first
+// line under the daemon's MaxLine bound, and answers a register whose
+// params do not decode with a bad-request error instead of attaching a
+// worker.
+func TestFirstLineSniffIsBounded(t *testing.T) {
+	c := New(Config{})
+	t.Cleanup(c.Close)
+
+	cliEnd, srvEnd := net.Pipe()
+	go c.handleConn(srvEnd)
+	// The writer stalls once the coordinator stops reading, so it runs
+	// beside the read that waits for the close.
+	go cliEnd.Write(bytes.Repeat([]byte{'x'}, daemon.MaxLine+1))
+	cliEnd.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := cliEnd.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("over-long first line: read err = %v, want the connection closed (io.EOF)", err)
+	}
+	cliEnd.Close()
+
+	cliEnd, srvEnd = net.Pipe()
+	defer cliEnd.Close()
+	go c.handleConn(srvEnd)
+	go cliEnd.Write([]byte(`{"id":1,"method":"register","params":"x"}` + "\n"))
+	cliEnd.SetReadDeadline(time.Now().Add(10 * time.Second))
+	line, err := bufio.NewReader(cliEnd).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp daemon.Response
+	if err := json.Unmarshal(line, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ID != 1 || resp.Error == nil || resp.Error.Code != daemon.CodeBadRequest {
+		t.Errorf("malformed register: reply %s, want a %s error for id 1", line, daemon.CodeBadRequest)
+	}
+	if ws := c.Stats().Workers; len(ws) != 0 {
+		t.Errorf("malformed register attached %d worker(s): %+v", len(ws), ws)
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -21,10 +20,6 @@ import (
 func Effectiveness(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	ctx := context.Background()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	t := &Table{
 		Title: "§VI-C: Byte-by-byte attack-campaign effectiveness (measured)",
 		Header: []string{
@@ -34,7 +29,7 @@ func Effectiveness(cfg Config) (*Table, error) {
 		Notes: []string{
 			"paper: attacks succeed on SSP-compiled Nginx/Ali, fail on P-SSP builds",
 			fmt.Sprintf("trial budget %d per replication; SSP expectation ~1024 trials", cfg.AttackBudget),
-			fmt.Sprintf("%d replications per cell sharded over %d workers; aggregates are seed-deterministic at any worker count", cfg.AttackReps, workers),
+			fmt.Sprintf("%d replications per cell; aggregates are seed-deterministic at any worker count", cfg.AttackReps),
 			"verified = recovered canary matches the victim's TLS canary (rules out lucky-survival false successes)",
 		},
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -200,6 +201,25 @@ func TestEffectivenessMatchesPaper(t *testing.T) {
 		if tab.Values[srv+"/p-ssp/success"] != 0 {
 			t.Errorf("%s: attack on P-SSP succeeded", srv)
 		}
+	}
+}
+
+// TestEffectivenessIsHostIndependent: the §VI-C table — rows, values and
+// notes — is the same at any worker count, so its bytes do not depend on
+// the host's CPU count.
+func TestEffectivenessIsHostIndependent(t *testing.T) {
+	var tabs [2]*Table
+	for i, workers := range []int{1, 3} {
+		cfg := fastCfg
+		cfg.Workers = workers
+		tab, err := Effectiveness(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs[i] = tab
+	}
+	if !reflect.DeepEqual(tabs[0], tabs[1]) {
+		t.Errorf("effectiveness differs by worker count:\n 1: %+v\n 3: %+v", tabs[0], tabs[1])
 	}
 }
 
