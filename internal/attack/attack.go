@@ -27,6 +27,9 @@ import (
 // callers can distinguish "the trial ran and the worker died" (survived ==
 // false, err == nil) from "the trial never ran" (err != nil). Context
 // cancellation is returned unwrapped.
+//
+// Try must not retain payload after it returns: the searches build every
+// trial's payload in one buffer they overwrite for the next trial.
 type Oracle interface {
 	Try(payload []byte) (survived bool, err error)
 }
@@ -153,12 +156,21 @@ func positionalSearch(ctx context.Context, o Oracle, cfg Config, chunk int, star
 	}
 	res := Result{FailedAt: -1, PerByte: make([]int, 0, (cfg.CanaryLen+chunk-1)/chunk)}
 	known := make([]byte, 0, cfg.CanaryLen)
+	// buf holds every trial's payload: the filler, the known prefix, then
+	// the guess, which is all a trial changes.
+	buf := make([]byte, cfg.BufLen+cfg.CanaryLen)
+	for j := 0; j < cfg.BufLen; j++ {
+		buf[j] = cfg.Filler
+	}
 
 	for pos := 0; len(known) < cfg.CanaryLen; pos++ {
 		width := chunk
 		if rem := cfg.CanaryLen - len(known); width > rem {
 			width = rem
 		}
+		copy(buf[cfg.BufLen:], known)
+		payload := buf[:cfg.BufLen+len(known)+width]
+		guessAt := payload[cfg.BufLen+len(known):]
 		// space is the chunk's value count; 0 encodes the full 2^64 space
 		// of an 8-byte chunk (the shift wraps), where modular arithmetic
 		// is the native uint64 wraparound.
@@ -190,13 +202,8 @@ func positionalSearch(ctx context.Context, o Oracle, cfg Config, chunk int, star
 			if space != 0 {
 				guess %= space
 			}
-			payload := make([]byte, 0, cfg.BufLen+len(known)+width)
-			for j := 0; j < cfg.BufLen; j++ {
-				payload = append(payload, cfg.Filler)
-			}
-			payload = append(payload, known...)
-			for j := 0; j < width; j++ {
-				payload = append(payload, byte(guess>>(8*j)))
+			for j := range guessAt {
+				guessAt[j] = byte(guess >> (8 * j))
 			}
 
 			res.Trials++
@@ -258,15 +265,15 @@ func wordSearch(ctx context.Context, o Oracle, cfg Config, next func() uint64) (
 		width = 8
 	}
 	res := Result{FailedAt: -1} // no byte position applies to full-word search
+	payload := make([]byte, cfg.BufLen+width)
+	for i := 0; i < cfg.BufLen; i++ {
+		payload[i] = cfg.Filler
+	}
 	for res.Trials < cfg.MaxTrials {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
 		guess := next()
-		payload := make([]byte, cfg.BufLen+width)
-		for i := 0; i < cfg.BufLen; i++ {
-			payload[i] = cfg.Filler
-		}
 		for j := 0; j < width; j++ {
 			payload[cfg.BufLen+j] = byte(guess >> (8 * j))
 		}

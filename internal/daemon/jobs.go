@@ -46,16 +46,20 @@ func parseScheme(name string) (pssp.Scheme, error) {
 	return s, nil
 }
 
-// finish maps a whole engine job's run onto its terminal response: on
-// success, or on a cancellation that still did work, the result (which the
-// caller flagged Canceled); on any other error, the error. The cost is
-// charged either way.
+// finish maps an engine job's run onto its terminal response: on success,
+// or on a cancellation that still did work, the result (which the caller
+// flagged Canceled); on any other error, the error. The cost is charged
+// either way.
 func finish(res any, worked bool, cost uint64, err error) (any, uint64, error) {
-	canceled := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-	if err != nil && !(canceled && worked) {
+	if err != nil && !(isCancel(err) && worked) {
 		return nil, cost, err
 	}
 	return res, cost, nil
+}
+
+// isCancel reports whether err is a context cancellation or deadline.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func (d *Daemon) compileJob(p CompileParams) (jobRun, error) {

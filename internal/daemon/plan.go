@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -207,15 +208,25 @@ type RangeRunner interface {
 	Stats() FabricStats
 }
 
-// charged is a range result that knows its victim-cycle charge.
-type charged interface{ cost() uint64 }
+// rangeResult is a range result that knows its victim-cycle charge and
+// whether cancellation cut it short.
+type rangeResult interface {
+	cost() uint64
+	canceled() bool
+}
+
+// errRangeCut fails a lease whose worker canceled the range on its own
+// (it is shutting down) while the job still runs: the lease is lost, not
+// done, and the range runner re-issues it.
+var errRangeCut = errors.New("daemon: worker cut its range short")
 
 // runRange runs a plan's whole range [0, Shards) — in process through body,
 // the run its shard jobs use, or as leases through the daemon's range
 // runner — and merges what completed. It charges the results' costs. The
 // run's error wins over the merge's, so a canceled run still returns the
-// report of the work it did.
-func runRange[S any, R charged, Rep any](ctx context.Context, e engineEnv, pl Plan[S, R, Rep],
+// report of the work it did: in process, and from every lease the
+// cancellation cut short.
+func runRange[S any, R rangeResult, Rep any](ctx context.Context, e engineEnv, pl Plan[S, R, Rep],
 	body func(context.Context, engineEnv, S) (R, error)) (Rep, uint64, error) {
 	var (
 		mu      sync.Mutex
@@ -238,6 +249,9 @@ func runRange[S any, R charged, Rep any](ctx context.Context, e engineEnv, pl Pl
 			var res R
 			if err := call(pl.Method, pl.Range(lo, hi), &res); err != nil {
 				return err
+			}
+			if res.canceled() && ctx.Err() == nil {
+				return errRangeCut
 			}
 			collect(res)
 			return nil

@@ -178,6 +178,9 @@ type CampaignShardParams struct {
 // coordinator for ordered merging.
 type CampaignShardResult struct {
 	Partial *pssp.CampaignPartial `json:"partial"`
+	// Canceled marks a range cut short by cancellation; the partial holds
+	// the work done before the cut.
+	Canceled bool `json:"canceled,omitempty"`
 }
 
 // LoadShardParams run workload shards [Lo, Hi) of the scenario the embedded
@@ -196,6 +199,9 @@ type LoadShardParams struct {
 // coordinator for ordered merging.
 type LoadShardResult struct {
 	Partials []*pssp.LoadPartial `json:"partials"`
+	// Canceled marks a range cut short by cancellation, as on
+	// CampaignShardResult.
+	Canceled bool `json:"canceled,omitempty"`
 }
 
 // FuzzShardParams run fuzzing shards [Lo, Hi) of the campaign the embedded
@@ -219,6 +225,9 @@ type FuzzShardResult struct {
 	// CorpusAdded counts inputs newly written to the shared corpus
 	// (CorpusDir set only).
 	CorpusAdded int `json:"corpus_added,omitempty"`
+	// Canceled marks a range cut short by cancellation, as on
+	// CampaignShardResult.
+	Canceled bool `json:"canceled,omitempty"`
 }
 
 // CompileParams name an image to compile into the daemon's cache.

@@ -143,13 +143,19 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 }
 
 // shardRun is a shard job's run: body over the range p names, charged the
-// result's cost.
-func shardRun[S any, R charged](body func(context.Context, engineEnv, S) (R, error), p S) engineRun {
+// result's cost. A canceled range replies with what it did, flagged
+// Canceled, so a coordinator whose job was canceled (its time box ended)
+// still merges the work its leases did.
+func shardRun[S any, R rangeResult](body func(context.Context, engineEnv, S) (R, error), p S) engineRun {
 	return func(ctx context.Context, e engineEnv) (any, uint64, error) {
 		res, err := body(ctx, e, p)
-		return res, res.cost(), err
+		return finish(res, true, res.cost(), err)
 	}
 }
+
+func (r CampaignShardResult) canceled() bool { return r.Canceled }
+func (r LoadShardResult) canceled() bool     { return r.Canceled }
+func (r FuzzShardResult) canceled() bool     { return r.Canceled }
 
 // cost charges a campaign range the victim cycles of its completed
 // replications.
@@ -191,7 +197,7 @@ func campaignRange(ctx context.Context, e engineEnv, p CampaignShardParams) (Cam
 		e.ev.progress(ProgressEvent{Kind: "attack", Campaign: &cp})
 	}
 	part, err := e.m.CampaignShards(ctx, e.img, cfg, p.Lo, p.Hi)
-	return CampaignShardResult{Partial: part}, err
+	return CampaignShardResult{Partial: part, Canceled: isCancel(err)}, err
 }
 
 // loadRange runs workload shards [Lo, Hi) of the scenario p describes.
@@ -206,7 +212,7 @@ func loadRange(ctx context.Context, e engineEnv, p LoadShardParams) (LoadShardRe
 		e.ev.progress(ProgressEvent{Kind: "loadtest", Load: &lp})
 	}
 	parts, err := e.m.LoadShards(ctx, e.img, cfg, p.Lo, p.Hi)
-	return LoadShardResult{Partials: parts}, err
+	return LoadShardResult{Partials: parts, Canceled: isCancel(err)}, err
 }
 
 // fuzzRange runs fuzzing shards [Lo, Hi) of the run p describes. BaseVirgin carries the round's merged coverage
@@ -222,7 +228,7 @@ func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardRe
 		e.ev.progress(ProgressEvent{Kind: "fuzz", Fuzz: &fp})
 	}
 	parts, err := e.m.FuzzShards(ctx, e.img, cfg, p.Lo, p.Hi)
-	res := FuzzShardResult{Partials: parts}
+	res := FuzzShardResult{Partials: parts, Canceled: isCancel(err)}
 	if p.CorpusDir != "" && len(parts) > 0 {
 		var ferr error
 		res.CorpusAdded, ferr = foldCorpus(e, p, res)

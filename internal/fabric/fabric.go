@@ -191,15 +191,29 @@ func (c *Coordinator) Serve(ctx context.Context, lis net.Listener) error {
 			}
 			return err
 		}
-		go c.handleConn(conn)
+		go c.handleConn(conn, firstLineDeadline)
 	}
 }
 
-// handleConn reads a connection's first line to tell a registering worker
-// from a control client.
-func (c *Coordinator) handleConn(conn net.Conn) {
+// firstLineDeadline bounds how long a new connection may stay silent
+// before its first line: a control client sends its first request at once,
+// and a joining worker registers at once, so a connection silent this long
+// is closed instead of holding a goroutine.
+const firstLineDeadline = 10 * time.Second
+
+// handleConn reads a connection's first line, within silence, to tell a
+// registering worker from a control client.
+func (c *Coordinator) handleConn(conn net.Conn, silence time.Duration) {
 	br := bufio.NewReaderSize(conn, 64<<10)
+	if err := conn.SetReadDeadline(time.Now().Add(silence)); err != nil {
+		conn.Close()
+		return
+	}
 	line, err := daemon.ReadLine(br)
+	if err == nil {
+		// The line is in: clear the deadline for the connection's life.
+		err = conn.SetReadDeadline(time.Time{})
+	}
 	if err != nil {
 		conn.Close()
 		return

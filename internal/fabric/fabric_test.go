@@ -391,7 +391,7 @@ func TestFirstLineSniffIsBounded(t *testing.T) {
 	t.Cleanup(c.Close)
 
 	cliEnd, srvEnd := net.Pipe()
-	go c.handleConn(srvEnd)
+	go c.handleConn(srvEnd, firstLineDeadline)
 	// The writer stalls once the coordinator stops reading, so it runs
 	// beside the read that waits for the close.
 	go cliEnd.Write(bytes.Repeat([]byte{'x'}, daemon.MaxLine+1))
@@ -403,7 +403,7 @@ func TestFirstLineSniffIsBounded(t *testing.T) {
 
 	cliEnd, srvEnd = net.Pipe()
 	defer cliEnd.Close()
-	go c.handleConn(srvEnd)
+	go c.handleConn(srvEnd, firstLineDeadline)
 	go cliEnd.Write([]byte(`{"id":1,"method":"register","params":"x"}` + "\n"))
 	cliEnd.SetReadDeadline(time.Now().Add(10 * time.Second))
 	line, err := bufio.NewReader(cliEnd).ReadBytes('\n')
@@ -419,5 +419,59 @@ func TestFirstLineSniffIsBounded(t *testing.T) {
 	}
 	if ws := c.Stats().Workers; len(ws) != 0 {
 		t.Errorf("malformed register attached %d worker(s): %+v", len(ws), ws)
+	}
+}
+
+// TestFuzzTimeBoxReturnsLeasedPartial: a fuzz job whose time box ends
+// before any lease completes still returns the work its leases did, as a
+// canceled partial — the report a plain psspd gives for the same box —
+// not a canceled error.
+func TestFuzzTimeBoxReturnsLeasedPartial(t *testing.T) {
+	c := coordinator(t, 2, Config{})
+	p := daemon.FuzzParams{App: "nginx-vuln", Scheme: "ssp", Execs: 100000000, Shards: 4, Seed: 7}
+	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	defer cancel()
+	res, err := c.Do(ctx, "", "fuzz", p, nil)
+	if err != nil {
+		t.Fatalf("time-boxed fuzz job: %v, want a partial report", err)
+	}
+	rep := res.(daemon.FuzzResult)
+	if !rep.Canceled || rep.FuzzReport == nil || rep.Execs == 0 || rep.Execs >= p.Execs {
+		t.Fatalf("partial: canceled=%v report=%v", rep.Canceled, rep.FuzzReport != nil)
+	}
+	if st := c.Stats(); st.LeasesReassigned != 0 {
+		t.Errorf("a time box re-issued %d lease(s)", st.LeasesReassigned)
+	}
+}
+
+// TestSilentConnectionClosedAfterDeadline: a connection that never sends
+// its first line costs the coordinator one deadline, then is closed.
+func TestSilentConnectionClosedAfterDeadline(t *testing.T) {
+	c := New(Config{})
+	t.Cleanup(c.Close)
+
+	cliEnd, srvEnd := net.Pipe()
+	defer cliEnd.Close()
+	const silence = 50 * time.Millisecond
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		c.handleConn(srvEnd, silence)
+		close(done)
+	}()
+	cliEnd.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := cliEnd.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent connection: read err = %v, want the connection closed (io.EOF)", err)
+	}
+	if waited := time.Since(start); waited < silence {
+		t.Errorf("closed after %v, before the %v deadline", waited, silence)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handleConn still running after closing the connection")
+	}
+	if ws := c.Stats().Workers; len(ws) != 0 {
+		t.Errorf("silent connection attached %d worker(s)", len(ws))
 	}
 }

@@ -111,6 +111,11 @@ func (c *Coordinator) RunRanges(ctx context.Context, shards int, run func(lo, hi
 	}
 
 	for len(pending) > 0 || inflight > 0 {
+		// A canceled job (its time box ended) dispatches nothing more; the
+		// in-flight leases come back with the work they did.
+		if fatal == nil && ctx.Err() != nil {
+			fatal = ctx.Err()
+		}
 		if fatal != nil && inflight == 0 {
 			break
 		}

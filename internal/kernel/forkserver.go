@@ -21,10 +21,21 @@ var ErrServerClosed = errors.New("kernel: fork server is closed")
 //
 // For the attacker this is the oracle: Handle returns whether the child
 // crashed (guess wrong) or responded (guess right).
+//
+// The server keeps one child slot and recycles it: each request forks into
+// the previous request's dead, released worker — its process, CPU, space
+// headers, entropy source and request buffer — so a request allocates
+// nothing beyond the response bytes its worker writes. Every request still
+// runs the scheme's fork hooks (each p-ssp worker re-randomises its shadow
+// pair), and PIDs, the TSC base and every Outcome field are what a freshly
+// allocated child would give.
 type ForkServer struct {
 	kernel *Kernel
 	parent *Process
 	closed bool
+	// slot is the recycled child; nil before the first request and after
+	// a request that did not finish (its half-run worker is dropped).
+	slot *slot
 
 	// Requests counts Handle calls; Crashes counts children that died.
 	Requests int
@@ -51,7 +62,8 @@ type Outcome struct {
 	// including output emitted before a crash, since on a real socket those
 	// bytes have already left the process. Detection *latency* is therefore
 	// observable: a check that fires only in the epilogue may leak a
-	// response computed from corrupted data first.
+	// response computed from corrupted data first. The buffer is the
+	// caller's: the server never reuses it (nil when nothing was written).
 	Response []byte
 	// Cycles and Insts are the worker's execution cost for this request.
 	Cycles uint64
@@ -124,6 +136,7 @@ func (s *ForkServer) Close() {
 		return
 	}
 	s.closed = true
+	s.slot = nil
 	s.parent.Space.ReleaseAll()
 }
 
@@ -143,7 +156,21 @@ func (s *ForkServer) HandleContext(ctx context.Context, req []byte) (Outcome, er
 	if s.closed {
 		return Outcome{}, ErrServerClosed
 	}
-	child, err := s.kernel.Fork(s.parent)
+	if s.slot == nil {
+		s.slot = new(slot)
+	}
+	out, err := s.serve(ctx, req)
+	if err != nil {
+		// The slot's worker may be half-run or half-forked: never recycle it.
+		s.slot = nil
+	}
+	return out, err
+}
+
+// serve forks the request's worker into the slot, runs it and, once the
+// outcome is copied out, releases its space for the next fork.
+func (s *ForkServer) serve(ctx context.Context, req []byte) (Outcome, error) {
+	child, err := s.kernel.forkInto(s.parent, s.slot)
 	if err != nil {
 		return Outcome{}, err
 	}

@@ -94,7 +94,7 @@ type Process struct {
 
 	stdin    []byte
 	stdinOff int
-	pending  []byte // request delivered but not yet accepted
+	reqBuf   []byte // Deliver's copy of the request, reused by the next Deliver
 	isChild  bool   // children get exactly one request, then accept returns 0
 
 	rand *rng.Source
@@ -114,15 +114,16 @@ func (p *Process) TLSAt(base uint64) *core.TLS { return core.NewTLS(p.Space, bas
 func (p *Process) Binary() *binfmt.Binary { return p.bin }
 
 // Deliver hands a request to a process blocked in accept and unblocks it.
+// The process reads a copy of req, kept in a buffer the process owns: a
+// fork server's recycled worker copies each request into the same buffer.
 func (p *Process) Deliver(req []byte) error {
 	if p.State != StateWaiting {
 		return fmt.Errorf("kernel: deliver to process %d in state %s", p.ID, p.State)
 	}
-	p.pending = append([]byte(nil), req...)
+	p.reqBuf = append(p.reqBuf[:0], req...)
 	// accept(2) already trapped; complete it by writing its return value.
-	p.stdin = p.pending
+	p.stdin = p.reqBuf
 	p.stdinOff = 0
-	p.pending = nil
 	p.CPU.GPR[isa.RAX] = uint64(len(p.stdin))
 	p.State = StateRunning
 	return nil
@@ -154,9 +155,43 @@ type Kernel struct {
 	// ready to be scheduled by the host via TakeSpawned.
 	spawned []*Process
 
-	// pool recycles large copy-on-write materialization buffers between the
+	// pool recycles copy-on-write materialization buffers between the
 	// machine's short-lived fork-per-request workers.
 	pool *mem.BufPool
+
+	// aborts memoises one crash per __stack_chk_fail abort site (RIP): an
+	// immutable error and its formatted reason, shared by every worker
+	// that aborts there, so a detected smash allocates nothing.
+	aborts map[uint64]abortSite
+}
+
+// abortSite is one abort RIP's crash error and its CrashReason string.
+type abortSite struct {
+	err    *vm.CrashError
+	reason string
+}
+
+// abort returns the memoised crash of an abort at rip.
+func (k *Kernel) abort(rip uint64) *vm.CrashError {
+	if a, ok := k.aborts[rip]; ok {
+		return a.err
+	}
+	err := &vm.CrashError{RIP: rip, Reason: "abort (stack smashing detected)", Cause: ErrStackSmash}
+	if k.aborts == nil {
+		k.aborts = make(map[uint64]abortSite)
+	}
+	k.aborts[rip] = abortSite{err: err, reason: err.Error()}
+	return err
+}
+
+// crashReason is err.Error(), read from the memo for an abort's error.
+func (k *Kernel) crashReason(err error) string {
+	if ce, ok := err.(*vm.CrashError); ok {
+		if a, ok := k.aborts[ce.RIP]; ok && a.err == ce {
+			return a.reason
+		}
+	}
+	return err.Error()
 }
 
 // TakeSpawned returns and clears the children created by guest fork(2)
@@ -270,30 +305,54 @@ func (k *Kernel) Spawn(app *binfmt.Binary, opts SpawnOpts) (*Process, error) {
 // child writes to them, and the copied CPU state carries the parent's
 // decode-once code cache — including any basic blocks the compiled engine
 // has already lowered — so a child costs O(segments written), not
-// O(address-space size) — the fork-per-request oracle loop is the hottest
-// path of the byte-by-byte attack experiments.
+// O(address-space size). Fork allocates the child (guest fork(2) uses it);
+// a ForkServer forks each request into its recycled slot instead, through
+// the same forkInto, so the fork-per-request oracle loop — the hottest path
+// of the byte-by-byte attack experiments — allocates nothing.
 //
 // The child is marked single-shot: its first accept consumes the delivered
 // request, its second returns 0 (shutdown), matching a fork-per-connection
 // worker.
 func (k *Kernel) Fork(parent *Process) (*Process, error) {
-	child := &Process{
+	return k.forkInto(parent, new(slot))
+}
+
+// slot holds everything one forked child owns: its process, CPU, address
+// space, entropy source and (in the process) request buffer. A ForkServer
+// keeps one and forks every request into it, overwriting the previous,
+// released worker.
+type slot struct {
+	proc  Process
+	cpu   vm.CPU
+	space mem.Space
+	rand  rng.Source
+}
+
+// forkInto is Fork into s: every field of s is reset from parent, and only
+// the capacity of s's space headers and request buffer carries over. s's
+// previous child must be dead and its space released.
+func (k *Kernel) forkInto(parent *Process, s *slot) (*Process, error) {
+	parent.Space.CloneInto(&s.space)
+	parent.rand.ForkInto(&s.rand)
+	child := &s.proc
+	*child = Process{
 		ID:     k.nextPID,
-		Space:  parent.Space.Clone(),
+		Space:  &s.space,
 		State:  parent.State,
 		Scheme: parent.Scheme,
-		// stdin contents are never mutated in place (delivery replaces the
-		// slice wholesale), so the child aliases the parent's buffer and
-		// tracks its own read offset — fork(2)'s shared file description.
+		// stdin contents are never mutated while the parent can still read
+		// them, so the child aliases the parent's buffer and tracks its own
+		// read offset — fork(2)'s shared file description.
 		stdin:    parent.stdin,
 		stdinOff: parent.stdinOff,
+		reqBuf:   child.reqBuf[:0],
 		isChild:  true,
-		rand:     parent.rand.Fork(),
+		rand:     &s.rand,
 		bin:      parent.bin,
 	}
 	k.nextPID++
 
-	cpu := new(vm.CPU)
+	cpu := &s.cpu
 	*cpu = *parent.CPU // shares the code cache; engine and cost model carry over
 	cpu.SetMem(child.Space)
 	cpu.Rand = child.rand
@@ -344,7 +403,7 @@ func (k *Kernel) RunContext(ctx context.Context, p *Process) (State, error) {
 		return p.State, err
 	default:
 		p.State = StateCrashed
-		p.CrashReason = err.Error()
+		p.CrashReason = k.crashReason(err)
 		p.CrashErr = err
 	}
 	return p.State, nil
@@ -366,7 +425,7 @@ func (h *sysHandler) Syscall(cpu *vm.CPU, nr, a1, a2, a3 uint64) (uint64, error)
 		return 0, nil
 
 	case abi.SysAbort:
-		return 0, &vm.CrashError{RIP: cpu.RIP, Reason: "abort (stack smashing detected)", Cause: ErrStackSmash}
+		return 0, h.k.abort(cpu.RIP)
 
 	case abi.SysRead:
 		if a1 != 0 {
@@ -392,11 +451,11 @@ func (h *sysHandler) Syscall(cpu *vm.CPU, nr, a1, a2, a3 uint64) (uint64, error)
 		if a1 != 1 {
 			return a3, nil
 		}
-		b, err := cpu.Mem.Read(a2, int(a3))
+		out, err := cpu.Mem.AppendRead(p.Stdout, a2, int(a3))
 		if err != nil {
 			return 0, &vm.CrashError{RIP: cpu.RIP, Reason: "write from bad buffer", Cause: err}
 		}
-		p.Stdout = append(p.Stdout, b...)
+		p.Stdout = out
 		return a3, nil
 
 	case abi.SysGetPID:
@@ -408,16 +467,14 @@ func (h *sysHandler) Syscall(cpu *vm.CPU, nr, a1, a2, a3 uint64) (uint64, error)
 			return 0, &vm.CrashError{RIP: cpu.RIP, Reason: "fork failed", Cause: err}
 		}
 		child.CPU.GPR[isa.RAX] = 0
+		// A fork server's worker reads its request from a buffer the next
+		// request overwrites; a guest-forked child may outlive it, so it
+		// reads its own copy.
+		child.stdin = append([]byte(nil), child.stdin...)
 		h.k.spawned = append(h.k.spawned, child)
 		return uint64(child.ID), nil
 
 	case abi.SysAccept:
-		if p.pending != nil {
-			p.stdin = p.pending
-			p.stdinOff = 0
-			p.pending = nil
-			return uint64(len(p.stdin)), nil
-		}
 		if p.isChild {
 			// Fork-per-connection worker: one request per child.
 			return 0, nil

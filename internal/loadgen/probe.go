@@ -66,7 +66,9 @@ type chanOracle struct {
 }
 
 // Try implements attack.Oracle: publish the payload, wait for the engine's
-// verdict.
+// verdict. The engine is done with payload (the fork server copied it into
+// its worker) before it sends the verdict, so nothing retains it after Try
+// returns.
 func (o *chanOracle) Try(payload []byte) (bool, error) {
 	select {
 	case o.ps.payloads <- payload:

@@ -200,8 +200,14 @@ func (s *Segment) prepareWrite(pool *BufPool, off uint64, size int) {
 		} else {
 			// Small or executable segment: the copy is cheaper than the
 			// bookkeeping, and exec segments must stay contiguous-valid for
-			// the decode caches (which read Data wholesale).
-			d := make([]byte, len(s.Data))
+			// the decode caches (which read Data wholesale). Exec backings
+			// are decode-cache keys, so they never come from the pool.
+			var d []byte
+			if s.Perm&PermExec == 0 {
+				d = pool.getExact(len(s.Data))
+			} else {
+				d = make([]byte, len(s.Data))
+			}
 			copy(d, s.Data)
 			s.Data = d
 		}
@@ -229,8 +235,10 @@ func (s *Segment) CopyIn(off int, p []byte) error {
 	return nil
 }
 
-// BufPool recycles large materialization buffers between short-lived forked
-// children of one simulated machine. It is deliberately not thread-safe:
+// BufPool recycles materialization buffers between short-lived forked
+// children of one simulated machine: the stack- and heap-sized buffers of
+// the lazy path, and the small ones (a TLS block's copy-on-write copy) the
+// eager path draws at their exact size. It is deliberately not thread-safe:
 // a machine drives all of its spaces from one goroutine, and distinct
 // machines get distinct pools.
 type BufPool struct {
@@ -247,6 +255,22 @@ func (p *BufPool) get(n int) []byte {
 	if p != nil {
 		for i, b := range p.bufs {
 			if cap(b) >= n {
+				p.bufs[i] = p.bufs[len(p.bufs)-1]
+				p.bufs = p.bufs[:len(p.bufs)-1]
+				return b[:n]
+			}
+		}
+	}
+	return make([]byte, n)
+}
+
+// getExact returns a pooled buffer whose capacity is exactly n, or a fresh
+// one: a small eager copy must never take a stack-sized buffer the lazy path
+// is about to want. Like get, the buffer comes back dirty.
+func (p *BufPool) getExact(n int) []byte {
+	if p != nil {
+		for i, b := range p.bufs {
+			if cap(b) == n {
 				p.bufs[i] = p.bufs[len(p.bufs)-1]
 				p.bufs = p.bufs[:len(p.bufs)-1]
 				return b[:n]
@@ -280,9 +304,13 @@ type Space struct {
 	// heavily (stack, then text, then data), so this single entry removes
 	// the binary search from almost every load/store/fetch.
 	last *Segment
-	// pool, when non-nil, supplies and reclaims large materialization
-	// buffers (see SetPool/Release). Clones inherit it.
+	// pool, when non-nil, supplies and reclaims materialization buffers
+	// (see SetPool/Release). Clones inherit it.
 	pool *BufPool
+	// hdrs is the one backing array of a cloned space's segment headers
+	// (segs points into it). Release keeps it and segs' capacity, so a
+	// CloneInto the released space reuses both.
+	hdrs []Segment
 	// epoch counts sharing-topology changes: Clone (segments become
 	// copy-on-write), Map, Release and ReleaseAll. Execution tiers that
 	// cache direct segment views (View) key them to the epoch and drop
@@ -429,8 +457,8 @@ func (sp *Space) writable(addr uint64, size int) (*Segment, error) {
 }
 
 // Read copies size bytes at addr into a fresh slice. Word-sized accesses
-// should prefer ReadU64/ReadU32, and bulk accesses ReadInto: they do not
-// allocate.
+// should prefer ReadU64/ReadU32, and bulk accesses ReadInto or AppendRead:
+// they allocate nothing of their own.
 func (sp *Space) Read(addr uint64, size int) ([]byte, error) {
 	seg, err := sp.readable(addr, size)
 	if err != nil {
@@ -440,6 +468,18 @@ func (sp *Space) Read(addr uint64, size int) ([]byte, error) {
 	out := make([]byte, size)
 	copy(out, seg.Data[off:off+uint64(size)])
 	return out, nil
+}
+
+// AppendRead appends the size bytes at addr to dst and returns the extended
+// slice, growing dst only as append does. On a fault dst is returned
+// unchanged with the error.
+func (sp *Space) AppendRead(dst []byte, addr uint64, size int) ([]byte, error) {
+	seg, err := sp.readable(addr, size)
+	if err != nil {
+		return dst, err
+	}
+	off := addr - seg.Base
+	return append(dst, seg.Data[off:off+uint64(size)]...), nil
 }
 
 // ReadInto copies len(dst) bytes at addr into dst without allocating.
@@ -580,22 +620,39 @@ func (sp *Space) View(addr uint64) (data []byte, base uint64, ok bool) {
 // materializes a private copy. A fork therefore costs O(segments written),
 // not O(address-space size).
 func (sp *Space) Clone() *Space {
-	out := &Space{segs: make([]*Segment, len(sp.segs)), pool: sp.pool}
+	out := new(Space)
+	sp.CloneInto(out)
+	return out
+}
+
+// CloneInto is Clone into dst, a released space (or a new one): dst becomes
+// the copy-on-write copy of sp, reusing its segment-header array and its
+// segment slice when they are large enough. The fork server recycles its
+// dead worker's space this way, so a steady-state fork allocates nothing.
+// dst's epoch keeps counting, so views of its previous life stay retired.
+func (sp *Space) CloneInto(dst *Space) {
 	// Every parent segment flips to copy-on-write below, so any direct view
 	// of this space is now writable shared memory: retire them all.
 	sp.epoch++
-	// One backing array for all the child's segment headers: forks are the
-	// hot allocation site of the attack oracle loop.
-	headers := make([]Segment, len(sp.segs))
+	n := len(sp.segs)
+	if cap(dst.hdrs) < n {
+		dst.hdrs = make([]Segment, n)
+	}
+	if cap(dst.segs) < n {
+		dst.segs = make([]*Segment, n)
+	}
+	dst.hdrs, dst.segs = dst.hdrs[:n], dst.segs[:n]
+	dst.last = nil
+	dst.pool = sp.pool
+	dst.epoch++
 	for i, s := range sp.segs {
 		// A half-materialized segment finishes its lazy fill first: the new
 		// sharing generation must start from one coherent backing array.
 		s.ensureAll()
 		s.cow = true
-		headers[i] = *s // shares Data, inherits cow=true and the generation
-		out.segs[i] = &headers[i]
+		dst.hdrs[i] = *s // shares Data, inherits cow=true and the generation
+		dst.segs[i] = &dst.hdrs[i]
 	}
-	return out
 }
 
 // CloneDeep returns an eager deep copy of the space — the pre-COW fork
@@ -612,25 +669,31 @@ func (sp *Space) CloneDeep() *Space {
 	return out
 }
 
-// Release returns the space's large private buffers to its pool and
-// renders the space unusable (subsequent accesses fault as unmapped). It is
-// only safe on a dead space: no process may reference it again, and
+// Release returns the space's private non-executable buffers to its pool
+// and renders the space unusable (subsequent accesses fault as unmapped). It
+// is only safe on a dead space: no process may reference it again, and
 // segments still copy-on-write shared with a live space are skipped, as are
-// executable segments (decode caches key on their backing identity). The
-// fork server releases each single-shot worker after its request, which
-// makes the steady-state oracle loop allocation-free for stack-sized
-// buffers.
+// executable segments (decode caches key on their backing identity) and
+// externally backed ones. Small buffers go back too — the pool hands them
+// out only at their exact size — so the TLS block's copy-on-write copy is
+// recycled with the stack. The space keeps its segment headers for a later
+// CloneInto. The fork server releases each single-shot worker after its
+// request, which makes the steady-state oracle loop allocation-free.
 func (sp *Space) Release() {
 	sp.epoch++
 	for _, s := range sp.segs {
-		if s.cow || s.Perm&PermExec != 0 || len(s.Data) < cowLazyMin {
+		if s.cow || s.ext || s.Perm&PermExec != 0 {
 			continue
 		}
 		sp.pool.put(s.Data)
 		s.Data = nil
 		s.shadow = nil
 	}
-	sp.segs = nil
+	// Drop every remaining reference (shared backings are the parent's)
+	// before the arrays wait for their next CloneInto.
+	clear(sp.hdrs)
+	clear(sp.segs)
+	sp.segs = sp.segs[:0]
 	sp.last = nil
 }
 

@@ -717,3 +717,118 @@ func TestReleaseAllSkipsExecAndSmall(t *testing.T) {
 		t.Fatalf("pool holds %d buffers, want 0 (exec and small segments are not poolable)", len(pool.bufs))
 	}
 }
+
+// tlsAndStackSpace maps a small TLS-sized segment and a large stack-sized
+// one on pool, each holding a byte pattern.
+func tlsAndStackSpace(t *testing.T, pool *BufPool) *Space {
+	t.Helper()
+	sp, _, _ := largeCOWSpace(t, pool)
+	if _, err := sp.Map("tls", 0x7000, cowChunk, PermRead|PermWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.WriteU64(0x7000+0x28, 0xC0FFEE); err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// TestReleaseRecyclesSmallBuffersAtExactSize: a dead worker's private TLS
+// copy goes back to the pool beside its stack buffer, and the next eager
+// copy takes the TLS-sized one — never the stack-sized buffer the lazy path
+// is about to want.
+func TestReleaseRecyclesSmallBuffersAtExactSize(t *testing.T) {
+	pool := &BufPool{}
+	sp := tlsAndStackSpace(t, pool)
+	w := sp.Clone()
+	if err := w.WriteU64(0x7000+0x2a8, 1); err != nil { // TLS: eager copy
+		t.Fatal(err)
+	}
+	if err := w.WriteU64(0x100000, 2); err != nil { // stack: lazy copy
+		t.Fatal(err)
+	}
+	w.Release()
+	if len(pool.bufs) != 2 {
+		t.Fatalf("pool holds %d buffers after Release, want 2 (TLS and stack)", len(pool.bufs))
+	}
+
+	w = sp.Clone()
+	if err := w.WriteU64(0x7000+0x2a8, 3); err != nil {
+		t.Fatal(err)
+	}
+	if len(pool.bufs) != 1 || cap(pool.bufs[0]) != 4*cowChunk {
+		t.Fatalf("after a TLS write the pool holds %d buffer(s), want the stack-sized one", len(pool.bufs))
+	}
+	if c, err := w.ReadU64(0x7000 + 0x28); err != nil || c != 0xC0FFEE {
+		t.Fatalf("recycled TLS copy reads canary %#x (%v), want the parent's", c, err)
+	}
+	// A small request the pool cannot serve exactly allocates instead.
+	if b := pool.getExact(cowChunk / 2); cap(b) != cowChunk/2 || len(pool.bufs) != 1 {
+		t.Fatalf("getExact(%d) took a %d-byte buffer", cowChunk/2, cap(b))
+	}
+}
+
+// TestCloneIntoReusesReleasedSpace: forking into a released worker's space
+// gives the same copy-on-write child as Clone, allocates nothing once the
+// pool is warm, and never shows the previous worker's writes.
+func TestCloneIntoReusesReleasedSpace(t *testing.T) {
+	pool := &BufPool{}
+	sp := tlsAndStackSpace(t, pool)
+	var slot Space
+	cycle := func(mark uint64) {
+		sp.CloneInto(&slot)
+		if v, err := slot.ReadU64(0x100000 + 8); err != nil || v != patternWord(8) {
+			t.Fatalf("child stack word %#x (%v), want the parent's pattern", v, err)
+		}
+		if v, err := slot.ReadU64(0x7000 + 0x2a8); err != nil || v != 0 {
+			t.Fatalf("child TLS word %#x (%v): an earlier worker's write leaked", v, err)
+		}
+		if err := slot.WriteU64(0x100000+8, mark); err != nil {
+			t.Fatal(err)
+		}
+		if err := slot.WriteU64(0x7000+0x2a8, mark); err != nil {
+			t.Fatal(err)
+		}
+		slot.Release()
+	}
+	cycle(1)
+	epoch := slot.Epoch()
+	if n := testing.AllocsPerRun(20, func() { cycle(2) }); n != 0 {
+		t.Errorf("CloneInto/write/Release cycle: %v allocs, want 0", n)
+	}
+	if slot.Epoch() <= epoch {
+		t.Error("the recycled space's epoch did not advance")
+	}
+	if len(slot.segs) != 0 {
+		t.Errorf("released space still maps %d segments", len(slot.segs))
+	}
+	if v, err := sp.ReadU64(0x100000 + 8); err != nil || v != patternWord(8) {
+		t.Fatalf("parent stack word %#x (%v), want its pattern", v, err)
+	}
+}
+
+// patternWord is the little-endian word of largeCOWSpace's pattern at off.
+func patternWord(off int) uint64 {
+	var b [8]byte
+	for i := range b {
+		b[i] = patternByte(off + i)
+	}
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+func TestAppendRead(t *testing.T) {
+	sp := newTestSpace(t)
+	if err := sp.Write(0x4000, []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	out, err := sp.AppendRead([]byte("> "), 0x4000, 5)
+	if err != nil || string(out) != "> hello" {
+		t.Fatalf("AppendRead = %q, %v", out, err)
+	}
+	kept := []byte("kept")
+	if got, err := sp.AppendRead(kept, 0x9000, 4); err == nil || string(got) != "kept" {
+		t.Fatalf("unmapped AppendRead = %q, %v; want the input back and a fault", got, err)
+	}
+	if got, err := sp.AppendRead(nil, 0x4000, -1); err == nil || got != nil {
+		t.Fatalf("negative-size AppendRead = %q, %v; want a fault", got, err)
+	}
+}

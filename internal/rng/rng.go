@@ -103,7 +103,19 @@ func (s *Source) Bytes(p []byte) {
 // used when a simulated process is forked so that parent and child draw from
 // unrelated streams, mirroring per-core hardware entropy.
 func (s *Source) Fork() *Source {
-	return New(s.Uint64() ^ 0xa5a5a5a5a5a5a5a5)
+	dst := new(Source)
+	s.ForkInto(dst)
+	return dst
+}
+
+// ForkInto is Fork into an existing Source: it reseeds dst with the value
+// Fork would seed its new Source with, drawing the same one value from s.
+// The fork server reseeds its recycled worker's source this way.
+func (s *Source) ForkInto(dst *Source) {
+	seed := s.Uint64() ^ 0xa5a5a5a5a5a5a5a5
+	dst.mu.Lock()
+	dst.state = seed
+	dst.mu.Unlock()
 }
 
 // mul64 returns the 128-bit product of a and b as (hi, lo).

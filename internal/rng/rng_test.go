@@ -180,3 +180,22 @@ func TestNewStreamIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestForkIntoMatchesFork: reseeding an existing Source draws the same one
+// value from the parent as Fork, so both children and both parents go on
+// to produce identical streams.
+func TestForkIntoMatchesFork(t *testing.T) {
+	a, b := New(42), New(42)
+	fa := a.Fork()
+	fb := New(7) // a used Source: ForkInto replaces its state wholesale
+	fb.Uint64()
+	b.ForkInto(fb)
+	for i := 0; i < 16; i++ {
+		if x, y := fa.Uint64(), fb.Uint64(); x != y {
+			t.Fatalf("child draw %d: Fork %#x, ForkInto %#x", i, x, y)
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("parent draw %d: after Fork %#x, after ForkInto %#x", i, x, y)
+		}
+	}
+}

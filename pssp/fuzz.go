@@ -100,8 +100,16 @@ func (e *fuzzExecutor) Execute(ctx context.Context, input []byte) (fuzz.Exec, *v
 		ex.Crashed = true
 		ex.Detected = errors.Is(out.CrashErr, kernel.ErrStackSmash)
 		ex.Kind = out.CrashReason
-		var ce *vm.CrashError
-		if errors.As(out.CrashErr, &ce) {
+		// The kernel's crash errors are *vm.CrashError values themselves;
+		// only a wrapped one pays for errors.As's heap-escaping target.
+		ce, _ := out.CrashErr.(*vm.CrashError)
+		if ce == nil {
+			var wrapped *vm.CrashError
+			if errors.As(out.CrashErr, &wrapped) {
+				ce = wrapped
+			}
+		}
+		if ce != nil {
 			ex.CrashPC = ce.RIP
 			ex.Kind = ce.Reason
 		}
