@@ -8,6 +8,7 @@ package repro
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/daemon"
@@ -171,26 +172,60 @@ func TestObsAddsZeroAllocations(t *testing.T) {
 		}
 	}
 
-	kernel.SetMetrics(nil)
-	workpool.SetMetrics(nil)
-	handleBase := testing.AllocsPerRun(100, handle)
-	dispatchBase := testing.AllocsPerRun(100, newDaemon(daemon.Config{}))
-
 	reg := obs.NewRegistry()
-	kernel.SetMetrics(reg)
-	workpool.SetMetrics(reg)
-	defer kernel.SetMetrics(nil)
-	defer workpool.SetMetrics(nil)
-	handleWith := testing.AllocsPerRun(100, handle)
-	dispatchWith := testing.AllocsPerRun(100, newDaemon(daemon.Config{
-		Metrics:  reg,
-		Recorder: obs.NewRecorder(8, 64),
-	}))
+	metrics := func(on bool) {
+		if on {
+			kernel.SetMetrics(reg)
+			workpool.SetMetrics(reg)
+		} else {
+			kernel.SetMetrics(nil)
+			workpool.SetMetrics(nil)
+		}
+	}
+	handleBase, handleWith := meanAllocs(metrics, handle, handle)
+	metrics(false)
+	dispatchOff := newDaemon(daemon.Config{})
+	metrics(true)
+	dispatchOn := newDaemon(daemon.Config{Metrics: reg, Recorder: obs.NewRecorder(8, 64)})
+	dispatchBase, dispatchWith := meanAllocs(metrics, dispatchOff, dispatchOn)
 
-	if handleWith > handleBase {
-		t.Errorf("fork-server request: %.1f allocs with metrics, %.1f without", handleWith, handleBase)
+	t.Logf("mean allocs per call: request %.3f off, %.3f on; warm dispatch %.3f off, %.3f on",
+		handleBase, handleWith, dispatchBase, dispatchWith)
+	if handleWith-handleBase >= 0.5 {
+		t.Errorf("fork-server request: %.2f allocs with metrics, %.2f without", handleWith, handleBase)
 	}
-	if dispatchWith > dispatchBase {
-		t.Errorf("warm dispatch: %.1f allocs with metrics, %.1f without", dispatchWith, dispatchBase)
+	if dispatchWith-dispatchBase >= 0.5 {
+		t.Errorf("warm dispatch: %.2f allocs with metrics, %.2f without", dispatchWith, dispatchBase)
 	}
+}
+
+// meanAllocs returns the mean heap allocations per call of off, run with
+// metrics(false), and of on, run with metrics(true): alternating rounds of
+// 50 calls each, 1000 calls a side after one unmeasured warm-up round.
+// testing.AllocsPerRun truncates its mean to an integer, and under the race
+// detector sync.Pool drops pooled items at random, so Daemon.Do's pooled
+// encoding/json state is now and then allocated afresh and a truncated mean
+// can land on either integer. The mean over many interleaved calls moves by
+// 1 for a real per-call allocation and by far less than 0.5 for pool drops.
+func meanAllocs(metrics func(on bool), off, on func()) (base, with float64) {
+	const rounds, calls = 20, 50
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer metrics(false)
+	var ms runtime.MemStats
+	var total [2]uint64
+	for r := -1; r < rounds; r++ {
+		for side, f := range [2]func(){off, on} {
+			metrics(side == 1)
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			for range calls {
+				f()
+			}
+			runtime.ReadMemStats(&ms)
+			if r >= 0 {
+				total[side] += ms.Mallocs - before
+			}
+		}
+	}
+	return float64(total[0]) / (rounds * calls), float64(total[1]) / (rounds * calls)
 }

@@ -137,7 +137,7 @@ func RunFuzz(ctx context.Context, m *pssp.Machine, img *pssp.Image, p FuzzParams
 	// round plans and runs one round of cfg: its seed, seed corpus and base
 	// frontier ride in the shard params the plan ships.
 	round := func(ctx context.Context, cfg pssp.FuzzConfig) (*pssp.FuzzReport, error) {
-		sp := FuzzShardParams{FuzzParams: p, BaseVirgin: cfg.BaseVirgin}
+		sp := FuzzShardParams{FuzzParams: p, BaseVirgin: pssp.FuzzCellsOf(cfg.BaseVirgin)}
 		sp.Seed, sp.Seeds, sp.UntilStall = cfg.Seed, cfg.Seeds, 0
 		pl, err := PlanFuzz(m, img, sp)
 		if err != nil {
@@ -165,12 +165,13 @@ func RunFuzz(ctx context.Context, m *pssp.Machine, img *pssp.Image, p FuzzParams
 }
 
 // PlanFuzz resolves the fuzzing run sp describes — its explicit seed, seed
-// corpus, label and base frontier; its range is ignored — against img.
-// Every range ships the resolved seed corpus and label, so workers mutate
-// from exactly the seeds the plan resolved.
+// corpus and label; its range is ignored — against img. Every range ships
+// the resolved seed corpus and label, so workers mutate from exactly the
+// seeds the plan resolved, and sp's base frontier. The plan leaves the base
+// out: each partial's cells include it, so the merge never reads it.
 func PlanFuzz(m *pssp.Machine, img *pssp.Image, sp FuzzShardParams) (FuzzPlan, error) {
 	cfg := sp.FuzzConfig(sp.Seed)
-	cfg.Label, cfg.BaseVirgin = sp.Label, sp.BaseVirgin
+	cfg.Label = sp.Label
 	plan, err := m.FuzzPlan(img, cfg)
 	if err != nil {
 		return FuzzPlan{}, err

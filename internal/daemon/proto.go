@@ -208,14 +208,15 @@ type LoadShardResult struct {
 // FuzzParams describe. Seed must be explicit and non-zero, and UntilStall
 // zero: a range is one round. BaseVirgin, when set, seeds every shard's
 // coverage frontier with the round's merged frontier (the frontier-sync
-// path). The embedded CorpusDir, when set, names a shared persistent corpus
-// the worker flock-merges the range's findings into.
+// path), in the sparse form a partial's coverage takes; the worker expands
+// it once per range. The embedded CorpusDir, when set, names a shared
+// persistent corpus the worker flock-merges the range's findings into.
 type FuzzShardParams struct {
 	FuzzParams
-	Label      string `json:"label,omitempty"`
-	Lo         int    `json:"lo"`
-	Hi         int    `json:"hi"`
-	BaseVirgin []byte `json:"base_virgin,omitempty"`
+	Label      string         `json:"label,omitempty"`
+	Lo         int            `json:"lo"`
+	Hi         int            `json:"hi"`
+	BaseVirgin pssp.FuzzCells `json:"base_virgin,omitempty"`
 }
 
 // FuzzShardResult carries the shard range's wire partials back to the

@@ -103,6 +103,9 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 		if !whole && p.UntilStall > 0 {
 			return nil, badRequest("fuzzshard runs one round; continuous mode (until_stall) is a whole fuzz job")
 		}
+		if err := p.BaseVirgin.Check(); err != nil {
+			return nil, badRequest("base_virgin: %v", err)
+		}
 		p.FuzzParams = NormalizeFuzzParams(p.FuzzParams)
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
 		run = shardRun(fuzzRange, p)
@@ -215,14 +218,18 @@ func loadRange(ctx context.Context, e engineEnv, p LoadShardParams) (LoadShardRe
 	return LoadShardResult{Partials: parts, Canceled: isCancel(err)}, err
 }
 
-// fuzzRange runs fuzzing shards [Lo, Hi) of the run p describes. BaseVirgin carries the round's merged coverage
+// fuzzRange runs fuzzing shards [Lo, Hi) of the run p describes.
+// BaseVirgin (checked at admission) carries the round's merged coverage
 // frontier into every shard (the frontier-sync path); CorpusDir, when set,
 // flock-merges the range's discoveries into a shared persistent corpus
 // before the result ships — those of an interrupted range too.
 func fuzzRange(ctx context.Context, e engineEnv, p FuzzShardParams) (FuzzShardResult, error) {
 	tr := obs.TraceFrom(ctx)
 	cfg := p.FuzzConfig(p.Seed)
-	cfg.Label, cfg.BaseVirgin = p.Label, p.BaseVirgin
+	cfg.Label = p.Label
+	if len(p.BaseVirgin) > 0 {
+		cfg.BaseVirgin = p.BaseVirgin.Dense()
+	}
 	cfg.Progress = func(fp pssp.FuzzProgress) {
 		tr.Event("fuzz progress", 0, "")
 		e.ev.progress(ProgressEvent{Kind: "fuzz", Fuzz: &fp})

@@ -300,7 +300,7 @@ func TestFatalWorkerErrorFailsJob(t *testing.T) {
 
 // malformedWorker attaches an in-process worker that answers every
 // loadshard and fuzzshard lease with a partial of the wrong shape: no
-// latency classes, and a one-byte virgin map.
+// latency classes, and coverage cells out of order (cell 5, then cell 4).
 func malformedWorker(t *testing.T, c *Coordinator) {
 	t.Helper()
 	coordEnd, workerEnd := net.Pipe()
@@ -320,7 +320,7 @@ func malformedWorker(t *testing.T, c *Coordinator) {
 			}
 			result := fmt.Sprintf(`{"partials":[{"shard":%d,"classes":[]}]}`, req.Params.Lo)
 			if req.Method == "fuzzshard" {
-				result = fmt.Sprintf(`{"partials":[{"shard":%d,"virgin":"AA=="}]}`, req.Params.Lo)
+				result = fmt.Sprintf(`{"partials":[{"shard":%d,"execs":1,"virgin":"AAUBAAQB"}]}`, req.Params.Lo)
 			}
 			if enc.Encode(daemon.Response{ID: req.ID, Result: json.RawMessage(result)}) != nil {
 				return
@@ -342,7 +342,7 @@ func TestMalformedPartialFailsJob(t *testing.T) {
 	}
 	_, err = c.Fuzz(context.Background(), daemon.FuzzParams{Execs: 8, Shards: 2, Seed: 3}, "")
 	if !errors.Is(err, fuzz.ErrMalformedPartial) {
-		t.Errorf("fuzz with short-virgin partials: err = %v, want fuzz.ErrMalformedPartial", err)
+		t.Errorf("fuzz with out-of-order cells: err = %v, want fuzz.ErrMalformedPartial", err)
 	}
 }
 

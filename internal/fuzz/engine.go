@@ -160,14 +160,18 @@ func mergeCov(virgin []byte, cov *vm.CovMap) int {
 const minFiller = 'A'
 
 // runShard fuzzes one shard to its budget. The returned partial is valid
-// even on error (up to the failure).
+// even on error (up to the failure). The shard charts its frontier in a
+// dense map — the per-exec novelty check is one byte per touched cell — and
+// the partial carries its sparse form, taken once when the shard ends.
 func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workpool.Meter[Progress]) (st *Partial, err error) {
 	r := rng.NewStream(cfg.Seed, uint64(shard))
 	mut := &mutator{r: r, dict: cfg.Dict, max: cfg.MaxInput}
-	st = &Partial{Shard: shard, Virgin: make([]byte, vm.CovMapSize)}
+	st = &Partial{Shard: shard}
+	virgin := make([]byte, vm.CovMapSize)
 	if len(cfg.BaseVirgin) == vm.CovMapSize {
-		copy(st.Virgin, cfg.BaseVirgin)
+		copy(virgin, cfg.BaseVirgin)
 	}
+	defer func() { st.Virgin = CellsOf(virgin) }()
 	seen := make(map[crashKey]bool)
 
 	budget := workpool.Share(cfg.Execs, shard, cfg.Shards)
@@ -249,9 +253,15 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workp
 	}
 
 	// triage records a crashing execution: dedupe by key, then minimize the
-	// first input that reached each unique site.
+	// first input that reached each unique site. Only that input is copied:
+	// input may be the mutator's buffer.
 	triage := func(input []byte, out Exec) error {
 		st.Crashes++
+		k := crashKey{pc: out.CrashPC, kind: out.Kind, detected: out.Detected}
+		if seen[k] {
+			return nil
+		}
+		seen[k] = true
 		f := Finding{
 			Shard:    shard,
 			Exec:     st.Execs,
@@ -261,11 +271,6 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workp
 			Kind:     out.Kind,
 			Detected: out.Detected,
 		}
-		k := f.key()
-		if seen[k] {
-			return nil
-		}
-		seen[k] = true
 		mt.Add(func(p *Progress) { p.Findings++ })
 		min, err := minimize(f.Input, k)
 		f.Minimized = min
@@ -281,7 +286,7 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workp
 		if err != nil {
 			return st, err
 		}
-		news := mergeCov(st.Virgin, cov)
+		news := mergeCov(virgin, cov)
 		mt.Add(func(p *Progress) { p.Edges += news })
 		if out.Crashed {
 			if err := triage(s, out); err != nil {
@@ -294,7 +299,8 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workp
 	}
 
 	// Mutation phase: pick a parent, mutate, execute; coverage novelty
-	// admits survivors to the corpus, crashes go to triage.
+	// admits survivors to the corpus (a copy: the mutant lives in the
+	// mutator's buffer), crashes go to triage.
 	for ; st.MutationExecs < budget; st.MutationExecs++ {
 		var parent []byte
 		if len(st.Corpus) > 0 {
@@ -307,7 +313,7 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workp
 		if err != nil {
 			return st, err
 		}
-		news := mergeCov(st.Virgin, cov)
+		news := mergeCov(virgin, cov)
 		mt.Add(func(p *Progress) { p.Edges += news })
 		if out.Crashed {
 			if err := triage(input, out); err != nil {
@@ -316,7 +322,7 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workp
 			continue
 		}
 		if news > 0 {
-			st.Corpus = append(st.Corpus, input)
+			st.Corpus = append(st.Corpus, append([]byte(nil), input...))
 			mt.Add(func(p *Progress) { p.CorpusSize++ })
 		}
 	}
@@ -345,9 +351,10 @@ func Run(ctx context.Context, cfg Config, boot Boot) (*Report, error) {
 }
 
 // Partial is one shard's complete result: the state runShard fills, and,
-// unchanged, the unit a fabric worker ships back (corpus inputs and the
-// bucketed virgin map included, base64 on the wire), so a distributed merge
-// folds exactly what a local one does.
+// unchanged, the unit a fabric worker ships back, so a distributed merge
+// folds exactly what a local one does. Virgin is the shard's bucketed
+// coverage frontier (base frontier included) as Cells: only the cells the
+// shard set, about 140 of the map's 64 Ki for nginx-vuln.
 type Partial struct {
 	Shard         int       `json:"shard"`
 	Execs         int       `json:"execs"`
@@ -356,12 +363,14 @@ type Partial struct {
 	Cycles        uint64    `json:"cycles"`
 	Insts         uint64    `json:"insts"`
 	Corpus        [][]byte  `json:"corpus,omitempty"`
-	Virgin        []byte    `json:"virgin,omitempty"`
+	Virgin        Cells     `json:"virgin,omitempty"`
 	Findings      []Finding `json:"findings,omitempty"`
 }
 
 // ErrMalformedPartial rejects a partial whose shape does not fit the run it
-// is merged into (a worker's partial crosses a trust boundary).
+// is merged into (a worker's partial crosses a trust boundary): its Virgin
+// breaks the Cells codec. A dense 64 KiB map from an older worker is one
+// such partial, never empty coverage.
 var ErrMalformedPartial = errors.New("fuzz: malformed partial")
 
 // RunShards executes only shards [lo, hi) of the fuzzing campaign and
@@ -408,7 +417,7 @@ func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Parti
 // the same cfg. Partials may arrive in any order and may repeat a shard (a
 // reassigned lease): slots are keyed by shard index, so a duplicate
 // overwrites with identical data. Missing shards merge like a cancelled
-// run's; a partial whose virgin map is not vm.CovMapSize bytes fails with
+// run's; a partial whose Virgin fails Cells.Check fails with
 // ErrMalformedPartial.
 func MergePartials(cfg Config, parts []*Partial) (*Report, error) {
 	cfg, err := cfg.Normalize()
@@ -420,9 +429,8 @@ func MergePartials(cfg Config, parts []*Partial) (*Report, error) {
 		if p == nil || p.Shard < 0 || p.Shard >= cfg.Shards {
 			continue
 		}
-		if len(p.Virgin) != vm.CovMapSize {
-			return nil, fmt.Errorf("%w: shard %d has a %d-byte virgin map, want %d",
-				ErrMalformedPartial, p.Shard, len(p.Virgin), vm.CovMapSize)
+		if err := p.Virgin.Check(); err != nil {
+			return nil, fmt.Errorf("%w: shard %d: %w", ErrMalformedPartial, p.Shard, err)
 		}
 		slots[p.Shard] = p
 	}
@@ -430,10 +438,18 @@ func MergePartials(cfg Config, parts []*Partial) (*Report, error) {
 }
 
 // merge folds per-shard partials (in shard order) into the final report,
-// deduplicating findings across shards by triage key.
+// deduplicating findings across shards by triage key. The frontier is the
+// sorted union of the partials' cells: Edges is its length and
+// CoverageHash the hash of its dense map, both without touching 64 KiB.
 func merge(cfg Config, slots []*Partial) *Report {
 	rep := &Report{Label: cfg.Label, Shards: cfg.Shards}
-	union := make([]byte, vm.CovMapSize)
+	room := 0
+	for _, st := range slots {
+		if st != nil {
+			room += len(st.Virgin)
+		}
+	}
+	cov, next := make(Cells, 0, room), make(Cells, 0, room)
 	seen := make(map[crashKey]bool)
 	for _, st := range slots {
 		if st == nil {
@@ -444,9 +460,7 @@ func merge(cfg Config, slots []*Partial) *Report {
 		rep.Crashes += st.Crashes
 		rep.Cycles += st.Cycles
 		rep.Insts += st.Insts
-		for i, v := range st.Virgin {
-			union[i] |= v
-		}
+		cov, next = union(next, cov, st.Virgin), cov
 		for _, in := range st.Corpus {
 			rep.CorpusHashes = append(rep.CorpusHashes, hash64(in))
 			rep.corpus = append(rep.corpus, in)
@@ -462,12 +476,8 @@ func merge(cfg Config, slots []*Partial) *Report {
 		}
 	}
 	rep.CorpusSize = len(rep.CorpusHashes)
-	for _, v := range union {
-		if v != 0 {
-			rep.Edges++
-		}
-	}
-	rep.CoverageHash = hash64(union)
-	rep.virgin = union
+	rep.Edges = cov.Len()
+	rep.CoverageHash = cov.hash()
+	rep.cov = cov
 	return rep
 }

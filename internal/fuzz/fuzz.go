@@ -48,7 +48,9 @@ type Exec struct {
 // Executor runs inputs against one shard's private victim. Implementations
 // serve each input to a freshly forked worker and return its outcome plus
 // the request's edge-coverage map; the map is owned by the executor and only
-// valid until the next Execute call. The returned error covers transport
+// valid until the next Execute call. Execute must not retain input after it
+// returns: the shard builds every mutant in one buffer it overwrites for the
+// next exec. The returned error covers transport
 // failures and cancellation only — a crashed worker is an Exec outcome, not
 // an error — mirroring the facade's Server.Handle contract.
 type Executor interface {
@@ -138,12 +140,13 @@ type Report struct {
 	Cycles uint64 `json:"cycles"`
 	Insts  uint64 `json:"insts"`
 
-	// corpus holds the admitted inputs in shard-merge order and virgin the
-	// merged bucketed frontier — the persistence payload behind
-	// CorpusInputs/Frontier. Unexported so the report's JSON shape (and thus
-	// the fixed-seed byte-identity contract) is independent of persistence.
+	// corpus holds the admitted inputs in shard-merge order and cov the
+	// merged bucketed frontier in sparse form — the persistence payload
+	// behind CorpusInputs/Frontier. Unexported so the report's JSON shape
+	// (and thus the fixed-seed byte-identity contract) is independent of
+	// persistence.
 	corpus [][]byte
-	virgin []byte
+	cov    Cells
 }
 
 // CorpusInputs returns the admitted corpus inputs in shard-merge order —
@@ -151,17 +154,17 @@ type Report struct {
 // mutate the returned inputs.
 func (r *Report) CorpusInputs() [][]byte { return r.corpus }
 
-// Frontier returns the merged bucketed coverage map (vm.CovMapSize bytes,
-// nil for an empty report) — feed it back as Config.BaseVirgin to resume
+// Frontier returns the merged bucketed coverage map, dense (vm.CovMapSize
+// bytes, built on each call) — feed it back as Config.BaseVirgin to resume
 // from this run's coverage instead of rediscovering it.
-func (r *Report) Frontier() []byte { return r.virgin }
+func (r *Report) Frontier() []byte { return r.cov.Dense() }
 
 // hash64 is FNV-1a over b — the corpus/coverage fingerprint primitive.
 func hash64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= 1099511628211
+		h *= fnvPrime
 	}
 	return h
 }

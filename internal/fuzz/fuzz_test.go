@@ -52,7 +52,7 @@ func TestMutatorDeterministic(t *testing.T) {
 		corpus := [][]byte{parent, []byte("PING")}
 		var out [][]byte
 		for i := 0; i < 200; i++ {
-			out = append(out, m.mutate(parent, corpus))
+			out = append(out, append([]byte(nil), m.mutate(parent, corpus)...))
 		}
 		return out
 	}
@@ -301,20 +301,39 @@ func TestNilProgressMeterIsFree(t *testing.T) {
 }
 
 // TestMergeRejectsMalformedPartial: a worker's partial crosses a trust
-// boundary, so a virgin map of the wrong size is a typed error, never an
-// index panic in the merge.
+// boundary, so coverage that breaks the Cells codec is a typed error, never
+// an index panic or silently empty coverage in the merge. A uint16 cell
+// cannot lie past the 64 Ki map, so the codec's out-of-range record is one
+// cut short by the end of the list.
 func TestMergeRejectsMalformedPartial(t *testing.T) {
 	cfg := Config{Label: "fake", Seeds: [][]byte{[]byte("GET /")}, Execs: 64, Shards: 2, Seed: 2018}
 	parts, err := RunShards(context.Background(), cfg, fakeBoot(16), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{vm.CovMapSize + 1, vm.CovMapSize - 1, 0} {
+	good := parts[0].Virgin
+	if good.Len() < 2 {
+		t.Fatalf("shard 0 set %d cells; the cases below need two", good.Len())
+	}
+	swapped := append(Cells(nil), good[3:6]...)
+	swapped = append(append(swapped, good[:3]...), good[6:]...)
+	zero := append(Cells(nil), good...)
+	zero[5] = 0
+	stale := make([]byte, vm.CovMapSize)
+	stale[1] = 1
+	for name, cov := range map[string]Cells{
+		"record cut short (cell out of range)": good[:len(good)-1],
+		"cells out of order":                   swapped,
+		"duplicated cell":                      append(append(Cells(nil), good[:3]...), good...),
+		"zero bits":                            zero,
+		"stale dense map":                      stale,
+		"stale dense empty map":                make([]byte, vm.CovMapSize),
+	} {
 		bad := *parts[0]
-		bad.Virgin = make([]byte, n)
+		bad.Virgin = cov
 		rep, err := MergePartials(cfg, []*Partial{&bad, parts[1]})
-		if !errors.Is(err, ErrMalformedPartial) || rep != nil {
-			t.Fatalf("merge of a %d-byte virgin map = %v, %v; want ErrMalformedPartial", n, rep, err)
+		if !errors.Is(err, ErrMalformedPartial) || !errors.Is(err, ErrMalformedCells) || rep != nil {
+			t.Errorf("%s: merge = %v, %v; want ErrMalformedPartial", name, rep, err)
 		}
 	}
 }

@@ -49,7 +49,9 @@ func (r *Recorder) Begin(job uint64, kind string) *Trace {
 	}
 	for len(r.traces) >= r.maxJobs && len(r.order) > 0 {
 		delete(r.traces, r.order[0])
-		r.order = r.order[1:]
+		// Shift in place: reslicing from the front would make the append
+		// below reallocate every few evictions.
+		r.order = append(r.order[:0], r.order[1:]...)
 	}
 	t := &Trace{
 		job:       job,

@@ -47,6 +47,13 @@ type FuzzPlan = fuzz.Config
 // fuzz.Partial.
 type FuzzPartial = fuzz.Partial
 
+// FuzzCells is a coverage frontier in its sparse wire form; see fuzz.Cells.
+type FuzzCells = fuzz.Cells
+
+// FuzzCellsOf returns the sparse form of a dense frontier
+// (FuzzReport.Frontier, FuzzConfig.BaseVirgin); see fuzz.CellsOf.
+func FuzzCellsOf(frontier []byte) FuzzCells { return fuzz.CellsOf(frontier) }
+
 // FuzzStallSummary reports a continuous (until-stall) fuzzing run's
 // convergence; see FuzzUntilStall.
 type FuzzStallSummary struct {

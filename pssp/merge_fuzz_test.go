@@ -200,9 +200,12 @@ func FuzzMergeFuzzPartials(f *testing.F) {
 		parts = append(parts, ps...)
 	}
 	seedPartials(f, parts)
-	long := *parts[0]
-	long.Virgin = append(append([]byte(nil), long.Virgin...), 1)
-	seedPartials(f, []*pssp.FuzzPartial{&long})
+	// A malformed seed: shard 0's first two coverage cells swapped, so its
+	// cells are out of order.
+	swapped := *parts[0]
+	c := swapped.Virgin
+	swapped.Virgin = append(append(append(pssp.FuzzCells(nil), c[3:6]...), c[:3]...), c[6:]...)
+	seedPartials(f, []*pssp.FuzzPartial{&swapped})
 	f.Fuzz(func(t *testing.T, data []byte, k uint64) {
 		var parts []*pssp.FuzzPartial
 		if json.Unmarshal(data, &parts) != nil {
