@@ -19,9 +19,6 @@ type Options struct {
 	// Libc is the shared-library image externs are resolved against for
 	// dynamic linkage (build one with BuildLibc).
 	Libc *binfmt.Binary
-	// LibcScheme selects the pass for the embedded libc under static
-	// linkage; zero means "same as Scheme".
-	LibcScheme core.Scheme
 	// CheckOnWrite makes write-checking passes (P-SSP-LV) inspect their
 	// canaries right after each buffer-writing statement, in addition to the
 	// epilogue — the paper's §V-E2 early-detection option.
@@ -64,11 +61,7 @@ func Compile(prog *Program, opts Options) (*binfmt.Binary, error) {
 			externs[sym.Name] = sym.Addr
 		}
 	case abi.LinkStatic:
-		libcScheme := opts.LibcScheme
-		if libcScheme == 0 {
-			libcScheme = opts.Scheme
-		}
-		libcFrags, err := libcFragments(libcScheme)
+		libcFrags, err := libcFragments(opts.Scheme)
 		if err != nil {
 			return nil, err
 		}

@@ -171,11 +171,9 @@ func ConfigBytes(opts Options) []byte {
 		linkage = abi.LinkDynamic
 	}
 	w.str(linkage)
-	libcScheme := opts.LibcScheme
-	if libcScheme == 0 {
-		libcScheme = opts.Scheme
-	}
-	w.str(libcScheme.String())
+	// The embedded libc's scheme, which is the app's; it stays in the
+	// encoding so existing store keys remain valid.
+	w.str(opts.Scheme.String())
 	w.bool(opts.CheckOnWrite)
 	// Dynamic linkage resolves externs against the libc image: its content
 	// is an input to the emitted code, so fold its hash in.

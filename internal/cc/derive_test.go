@@ -43,7 +43,6 @@ func TestDerivationKeySensitivity(t *testing.T) {
 		"check-on-write": func(_ *Program, o *Options) {
 			o.CheckOnWrite = true
 		},
-		"libc scheme": func(_ *Program, o *Options) { o.LibcScheme = core.SchemeNone },
 	}
 	for name, mutate := range mutations {
 		p, o := base()
@@ -51,14 +50,6 @@ func TestDerivationKeySensitivity(t *testing.T) {
 		if Derivation(p, o).Key() == baseKey {
 			t.Errorf("mutating %s did not change the derivation key", name)
 		}
-	}
-
-	// Defaults resolve before hashing: an explicit default must not split the
-	// cache from the implicit one.
-	p, o := base()
-	o.LibcScheme = o.Scheme
-	if Derivation(p, o).Key() != baseKey {
-		t.Error("explicit default LibcScheme changed the key")
 	}
 }
 

@@ -585,7 +585,8 @@ func TestWholeJobChargesShardCharges(t *testing.T) {
 
 // TestDroppedConnectionCancelsItsJobs: a client that drops its connection
 // mid-job frees its admission slot. The first connection starts an attack
-// far too long to finish (a million p-ssp replications) on a one-slot
+// far too long to finish before the watchdog (2^26 p-ssp trials: maxCount
+// replications of 1024, as many as 1<<20 replications of 64) on a one-slot
 // daemon, reads its first progress line, and closes. ServeConn must cancel
 // the job, return, and leave the slot free for a second connection's job.
 func TestDroppedConnectionCancelsItsJobs(t *testing.T) {
@@ -605,7 +606,7 @@ func TestDroppedConnectionCancelsItsJobs(t *testing.T) {
 	watchdog := time.After(time.Minute) // only fires if the bug is back
 
 	c1, done1 := serve()
-	sc := submit(c1, AttackParams{Scheme: "p-ssp", Budget: 64, Repeats: 1 << 20, Workers: 1, Seed: 9})
+	sc := submit(c1, AttackParams{Scheme: "p-ssp", Budget: 1024, Repeats: maxCount, Workers: 1, Seed: 9})
 	if !sc.Scan() {
 		t.Fatalf("no progress line: %v", sc.Err())
 	}

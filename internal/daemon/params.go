@@ -10,6 +10,29 @@ import "repro/pssp"
 // the CLIs' scenario flags (cliutil's job kinds) take theirs from these, so
 // a job that leaves a knob unset runs what the CLI would.
 
+// maxCount bounds every count in a job's params that sizes memory or a
+// goroutine pool: workers, shards, replications and closed-loop clients. It
+// sits far above any value the CLIs' defaults, CI, the harness or perfbench
+// use; a count above it is a bad request, so one request cannot make psspd
+// allocate terabytes.
+const maxCount = 1 << 16
+
+// count is one named count of a job's params, for checkCounts.
+type count struct {
+	name string
+	n    int
+}
+
+// checkCounts rejects the first of cs above maxCount as a bad request.
+func checkCounts(cs ...count) error {
+	for _, c := range cs {
+		if c.n > maxCount {
+			return badRequest("%s %d exceeds the limit of %d", c.name, c.n, maxCount)
+		}
+	}
+	return nil
+}
+
 // NormalizeAttackParams applies the attack job's defaults (Seed excepted:
 // 0 keeps meaning "derive from the tenant stream" for whole jobs, and is
 // rejected by shard jobs).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 
+	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/pssp"
@@ -23,8 +24,9 @@ import (
 
 // engineJobFor is the one handler behind the six engine methods (any other
 // method is a bad request). It does the shared steps — decode and
-// normalize the params, parse the scheme, and for shard jobs check the seed
-// and the range — before admission, and leaves only the run to the kind.
+// normalize the params, bound their counts, parse the scheme, and for shard
+// jobs check the seed and the range — before admission, and leaves only the
+// run to the kind.
 func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 	whole := !strings.HasSuffix(req.Method, "shard")
 	// decode reads a whole job's params into its embedded params and a
@@ -48,6 +50,9 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 			return nil, err
 		}
 		p.AttackParams = NormalizeAttackParams(p.AttackParams)
+		if err := checkCounts(count{"repeats", p.Repeats}, count{"workers", p.Workers}); err != nil {
+			return nil, err
+		}
 		app, scheme, seed, lo, hi = p.Target, p.Scheme, p.Seed, p.Lo, p.Hi
 		run = shardRun(campaignRange, p)
 		if whole {
@@ -74,7 +79,18 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 			return nil, badRequest("loadshard takes a single workload; the coordinator scales sweep points itself")
 		}
 		p.LoadParams = NormalizeLoadParams(p.LoadParams)
-		if _, err := ParseArrivals(p.Arrivals); err != nil {
+		kind, err := ParseArrivals(p.Arrivals)
+		if err != nil {
+			return nil, err
+		}
+		counts := []count{{"clients", p.Clients}, {"shards", p.Shards}, {"workers", p.Workers}}
+		// A sweep point scales a closed loop's clients (loadgen.Scale), so
+		// each point's count is bounded here too, before admission.
+		for _, m := range p.Sweep {
+			sc := loadgen.Scale(loadgen.Config{Arrivals: loadgen.Arrivals{Kind: kind, Clients: p.Clients}}, m)
+			counts = append(counts, count{"sweep-scaled clients", sc.Arrivals.Clients})
+		}
+		if err := checkCounts(counts...); err != nil {
 			return nil, err
 		}
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
@@ -107,6 +123,9 @@ func (d *Daemon) engineJobFor(req Request, t *tenant) (jobRun, error) {
 			return nil, badRequest("base_virgin: %v", err)
 		}
 		p.FuzzParams = NormalizeFuzzParams(p.FuzzParams)
+		if err := checkCounts(count{"shards", p.Shards}, count{"workers", p.Workers}); err != nil {
+			return nil, err
+		}
 		app, scheme, seed, lo, hi = p.App, p.Scheme, p.Seed, p.Lo, p.Hi
 		run = shardRun(fuzzRange, p)
 		if whole {

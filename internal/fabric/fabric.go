@@ -60,9 +60,6 @@ type Config struct {
 	// Retries bounds how many times one lease may be re-issued after
 	// worker loss before the job fails (default 3).
 	Retries int
-	// Backoff is the base delay before re-issuing a lost lease, doubling
-	// per retry (default 50ms).
-	Backoff time.Duration
 	// Logf, when non-nil, receives coordinator life-cycle lines (worker
 	// joins/deaths, lease reassignments).
 	Logf func(format string, args ...any)
@@ -91,12 +88,9 @@ func (c Config) retries() int {
 	return c.Retries
 }
 
-func (c Config) backoff() time.Duration {
-	if c.Backoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.Backoff
-}
+// backoff is the base delay before re-issuing a lost lease, doubling per
+// retry.
+const backoff = 50 * time.Millisecond
 
 // Coordinator is a psspd daemon whose whole jobs lease their shard ranges
 // to a set of worker connections: it is the daemon's range runner. Jobs

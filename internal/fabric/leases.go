@@ -103,7 +103,7 @@ func (c *Coordinator) RunRanges(ctx context.Context, shards int, run func(lo, hi
 			// Exponential backoff before the re-issue; bounded by Retries,
 			// so the inline sleep cannot stall collection for long.
 			select {
-			case <-time.After(c.cfg.backoff() << (l.retries - 1)):
+			case <-time.After(backoff << (l.retries - 1)):
 			case <-lctx.Done():
 			}
 			pending = append(pending, l)

@@ -36,9 +36,6 @@ type Config struct {
 	Seed uint64
 	// MaxInput caps generated input length in bytes (default 1024).
 	MaxInput int
-	// MinimizeBudget bounds the extra executions triage spends minimizing
-	// each unique crash (default 96).
-	MinimizeBudget int
 	// BaseVirgin, when exactly vm.CovMapSize bytes, seeds every shard's
 	// coverage frontier — the resume path for a persistent corpus: edges a
 	// previous run already charted are not "new", so the budget goes to the
@@ -105,9 +102,6 @@ func (c Config) Normalize() (Config, error) {
 	if c.MaxInput <= 0 {
 		c.MaxInput = 1024
 	}
-	if c.MinimizeBudget <= 0 {
-		c.MinimizeBudget = 96
-	}
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 256
 	}
@@ -158,6 +152,10 @@ func mergeCov(virgin []byte, cov *vm.CovMap) int {
 // minFiller is the canonical byte minimization rewrites inputs toward —
 // the attack layer's default buffer filler.
 const minFiller = 'A'
+
+// minimizeBudget bounds the extra executions triage spends minimizing each
+// unique crash.
+const minimizeBudget = 96
 
 // runShard fuzzes one shard to its budget. The returned partial is valid
 // even on error (up to the failure). The shard charts its frontier in a
@@ -210,10 +208,10 @@ func runShard(ctx context.Context, cfg Config, shard int, ex Executor, mt *workp
 
 	// minimize tail-trims input to the shortest form that still crashes
 	// with key k, then normalizes bytes to the canonical filler where the
-	// crash is preserved, spending at most cfg.MinimizeBudget executions.
+	// crash is preserved, spending at most minimizeBudget executions.
 	minimize := func(input []byte, k crashKey) ([]byte, error) {
 		cur := append([]byte(nil), input...)
-		left := cfg.MinimizeBudget
+		left := minimizeBudget
 		for step := len(cur) / 2; step > 0 && left > 0; {
 			if step >= len(cur) {
 				step = len(cur) - 1

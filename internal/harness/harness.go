@@ -45,9 +45,6 @@ type Config struct {
 	// Workers bounds campaign concurrency (default: GOMAXPROCS). It scales
 	// wall-clock time only, never results.
 	Workers int
-	// SpecRuns averages each SPEC measurement over this many runs
-	// (default 1; measurements are deterministic per seed anyway).
-	SpecRuns int
 	// LoadRequests is the request budget of the under-load experiment
 	// (default 96); LoadClients its closed-loop client population
 	// (default 8). See UnderLoad.
@@ -85,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttackReps == 0 {
 		c.AttackReps = 2
-	}
-	if c.SpecRuns == 0 {
-		c.SpecRuns = 1
 	}
 	if c.LoadRequests == 0 {
 		c.LoadRequests = 96

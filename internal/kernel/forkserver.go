@@ -80,8 +80,8 @@ func NewForkServer(k *Kernel, app *binfmt.Binary, opts SpawnOpts) (*ForkServer, 
 }
 
 // ServeProcess boots an already-spawned parent to its accept point and wraps
-// it as a ForkServer. It exists so callers can instrument the parent (tracer,
-// cost model) between Spawn and boot.
+// it as a ForkServer. It exists so callers can instrument the parent (a
+// tracer) between Spawn and boot.
 func ServeProcess(ctx context.Context, k *Kernel, parent *Process) (*ForkServer, error) {
 	st, err := k.RunContext(ctx, parent)
 	if err != nil {

@@ -353,7 +353,7 @@ func (k *Kernel) forkInto(parent *Process, s *slot) (*Process, error) {
 	k.nextPID++
 
 	cpu := &s.cpu
-	*cpu = *parent.CPU // shares the code cache; engine and cost model carry over
+	*cpu = *parent.CPU // shares the code cache; engine and tracer carry over
 	cpu.SetMem(child.Space)
 	cpu.Rand = child.rand
 	// The child keeps reading machine time, not a replay of the parent's

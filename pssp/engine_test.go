@@ -215,3 +215,35 @@ func TestParseEngine(t *testing.T) {
 		t.Fatalf("error = %q, want %q", err.Error(), want)
 	}
 }
+
+// TestBootAllocs pins what one victim boot allocates: a fresh machine
+// serving a precompiled nginx-vuln image to its accept point, then closing
+// the server, as each attack replication and each fuzz or load shard does.
+// The bounds are the counts measured when the test was written; lower the
+// one an engine beats.
+func TestBootAllocs(t *testing.T) {
+	bounds := map[pssp.Engine]float64{
+		pssp.EngineInterpreter: 34,
+		pssp.EnginePredecoded:  40,
+		pssp.EngineCompiled:    56,
+	}
+	ctx := context.Background()
+	img, err := pssp.NewMachine(pssp.WithScheme(pssp.SchemeSSP)).CompileApp("nginx-vuln")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range engines {
+		n := testing.AllocsPerRun(100, func() {
+			srv, err := pssp.NewMachine(pssp.WithEngine(e)).Serve(ctx, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+		})
+		if n > bounds[e] {
+			t.Errorf("%v: one boot makes %v allocs, want at most %v", e, n, bounds[e])
+		} else {
+			t.Logf("%v: %v allocs per boot", e, n)
+		}
+	}
+}

@@ -36,14 +36,11 @@ type FuzzConfig struct {
 	Seed uint64
 	// MaxInput caps generated input length in bytes (default 1024).
 	MaxInput int
-	// Progress, when non-nil, receives a running tally roughly every
-	// ProgressEvery executions and at every shard completion, serialized by
-	// the engine. Wall-clock observability only — it never affects the
-	// deterministic report.
+	// Progress, when non-nil, receives a running tally roughly every 256
+	// executions and at every shard completion, serialized by the engine.
+	// Wall-clock observability only — it never affects the deterministic
+	// report.
 	Progress func(FuzzProgress)
-	// ProgressEvery is the number of executions between Progress calls
-	// (default 256).
-	ProgressEvery int
 	// BaseVirgin seeds every shard's coverage frontier with a previous run's
 	// merged frontier (FuzzReport.Frontier) — the persistent-corpus resume
 	// path: known edges are no longer novel, so the budget chases new
@@ -163,16 +160,15 @@ func (m *Machine) fuzzPlan(img *Image, cfg FuzzConfig) (fuzz.Config, fuzz.Boot, 
 		return &fuzzExecutor{srv: srv.srv, cov: srv.srv.EnableCoverage()}, nil
 	}
 	return fuzz.Config{
-		Label:         label,
-		Seeds:         seeds,
-		Dict:          cfg.Dict,
-		Execs:         cfg.Execs,
-		Shards:        cfg.Shards,
-		Workers:       cfg.Workers,
-		Seed:          seed,
-		MaxInput:      cfg.MaxInput,
-		Progress:      cfg.Progress,
-		ProgressEvery: cfg.ProgressEvery,
-		BaseVirgin:    cfg.BaseVirgin,
+		Label:      label,
+		Seeds:      seeds,
+		Dict:       cfg.Dict,
+		Execs:      cfg.Execs,
+		Shards:     cfg.Shards,
+		Workers:    cfg.Workers,
+		Seed:       seed,
+		MaxInput:   cfg.MaxInput,
+		Progress:   cfg.Progress,
+		BaseVirgin: cfg.BaseVirgin,
 	}, boot, nil
 }

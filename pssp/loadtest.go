@@ -91,14 +91,11 @@ type WorkloadConfig struct {
 	// Server.Attack. Its Strategy field must be empty — per-class Probe
 	// names select the adversaries.
 	Attack AttackConfig
-	// Progress, when non-nil, receives a running tally roughly every
-	// ProgressEvery served requests and at every shard completion,
-	// serialized by the engine. Wall-clock observability only — it never
-	// affects the deterministic report.
+	// Progress, when non-nil, receives a running tally roughly every 64
+	// served requests and at every shard completion, serialized by the
+	// engine. Wall-clock observability only — it never affects the
+	// deterministic report.
 	Progress func(LoadProgress)
-	// ProgressEvery is the number of served requests between Progress calls
-	// (default 64).
-	ProgressEvery int
 }
 
 // LoadProgress is a workload's running tally; see loadgen.Progress.
@@ -210,7 +207,6 @@ func (m *Machine) resolveWorkload(img *Image, cfg WorkloadConfig) (loadgen.Confi
 		Workers:        cfg.Workers,
 		Seed:           seed,
 		Progress:       cfg.Progress,
-		ProgressEvery:  cfg.ProgressEvery,
 	}, nil
 }
 

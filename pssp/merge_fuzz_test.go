@@ -1,7 +1,6 @@
 package pssp_test
 
 import (
-	"context"
 	"encoding/json"
 	"math/rand/v2"
 	"testing"
@@ -19,11 +18,11 @@ import (
 //     JSON under any reordering and duplication of its partials — the
 //     property a re-issued or late lease relies on.
 //
-// The seed corpus holds real partials from small runs. CI runs each target
-// for a fixed -fuzztime; plain `go test` runs the seeds only.
-
-// fuzzSplits is the range split the seed partials are produced over.
-var fuzzSplits = [][2]int{{0, 1}, {1, 3}, {3, 4}}
+// The seed corpus holds real partials from small runs, checked in under
+// testdata/fuzz/<Target>/ so a target's set-up builds only its plan and
+// starts fuzzing at once; TestMergeSeedCorpus regenerates those partials
+// and pins the files to them. CI runs each target for a fixed -fuzztime;
+// plain `go test` runs the seeds only.
 
 // reorder returns parts shuffled by k, with two of them repeated.
 func reorder[T any](parts []*T, k uint64) []*T {
@@ -57,44 +56,36 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// seedPartials adds parts, JSON-encoded as a worker ships them, to f's
-// corpus under two reorder keys.
-func seedPartials(f *testing.F, parts any) {
-	b, err := json.Marshal(parts)
-	if err != nil {
-		f.Fatal(err)
+// The scenarios the seed partials come from. Each target merges into the
+// plan of its scenario.
+var (
+	seedCampaign = pssp.CampaignConfig{Strategy: "byte-by-byte", Replications: 4, Seed: 2018, Attack: pssp.AttackConfig{MaxTrials: 64}}
+	seedLoad     = pssp.WorkloadConfig{
+		Mix:      []pssp.RequestClass{{Name: "benign", Weight: 3}, {Probe: "adaptive"}},
+		Arrivals: pssp.ArrivalsClosedLoop, Clients: 4, Requests: 32, Shards: 4, Seed: 2018,
 	}
-	f.Add(b, uint64(0))
-	f.Add(b, uint64(0x9e3779b97f4a7c15))
+	seedFuzz = pssp.FuzzConfig{Execs: 64, Shards: 4, Seed: 2018}
+)
+
+// seedMachine is the machine every seed scenario is planned and run on.
+func seedMachine() *pssp.Machine {
+	return pssp.NewMachine(pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemeSSP))
 }
 
-// fuzzMachine compiles app for a fuzz target's seed runs.
-func fuzzMachine(f *testing.F, app string) (*pssp.Machine, *pssp.Image) {
-	m := pssp.NewMachine(pssp.WithSeed(2018), pssp.WithScheme(pssp.SchemeSSP))
-	img, err := m.CompileApp(app)
+// seedImage compiles nginx-vuln, the victim of every seed scenario.
+func seedImage(tb testing.TB, m *pssp.Machine) *pssp.Image {
+	img, err := m.CompileApp("nginx-vuln")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	return m, img
+	return img
 }
 
 func FuzzMergeCampaignPartials(f *testing.F) {
-	ctx := context.Background()
-	m, img := fuzzMachine(f, "nginx-vuln")
-	cfg := pssp.CampaignConfig{Strategy: "byte-by-byte", Replications: 4, Seed: 2018, Attack: pssp.AttackConfig{MaxTrials: 64}}
-	plan, err := m.CampaignPlan(cfg)
+	plan, err := seedMachine().CampaignPlan(seedCampaign)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var parts []*pssp.CampaignPartial
-	for _, r := range fuzzSplits {
-		p, err := m.CampaignShards(ctx, img, cfg, r[0], r[1])
-		if err != nil {
-			f.Fatal(err)
-		}
-		parts = append(parts, p)
-	}
-	seedPartials(f, parts)
 	// report renders an aggregate with its first oracle error's text (the
 	// error value itself does not encode).
 	report := func(t *testing.T, agg *pssp.CampaignResult) string {
@@ -132,28 +123,11 @@ func FuzzMergeCampaignPartials(f *testing.F) {
 }
 
 func FuzzMergeLoadPartials(f *testing.F) {
-	ctx := context.Background()
-	m, img := fuzzMachine(f, "nginx-vuln")
-	cfg := pssp.WorkloadConfig{
-		Mix:      []pssp.RequestClass{{Name: "benign", Weight: 3}, {Probe: "adaptive"}},
-		Arrivals: pssp.ArrivalsClosedLoop, Clients: 4, Requests: 32, Shards: 4, Seed: 2018,
-	}
-	plan, err := m.LoadPlan(img, cfg)
+	m := seedMachine()
+	plan, err := m.LoadPlan(seedImage(f, m), seedLoad)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var parts []*pssp.LoadPartial
-	for _, r := range fuzzSplits {
-		ps, err := m.LoadShards(ctx, img, cfg, r[0], r[1])
-		if err != nil {
-			f.Fatal(err)
-		}
-		parts = append(parts, ps...)
-	}
-	seedPartials(f, parts)
-	short := *parts[0]
-	short.Classes = short.Classes[:1]
-	seedPartials(f, []*pssp.LoadPartial{&short})
 	f.Fuzz(func(t *testing.T, data []byte, k uint64) {
 		var parts []*pssp.LoadPartial
 		if json.Unmarshal(data, &parts) != nil {
@@ -184,28 +158,11 @@ func FuzzMergeLoadPartials(f *testing.F) {
 }
 
 func FuzzMergeFuzzPartials(f *testing.F) {
-	ctx := context.Background()
-	m, img := fuzzMachine(f, "nginx-vuln")
-	cfg := pssp.FuzzConfig{Execs: 64, Shards: 4, Seed: 2018}
-	plan, err := m.FuzzPlan(img, cfg)
+	m := seedMachine()
+	plan, err := m.FuzzPlan(seedImage(f, m), seedFuzz)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var parts []*pssp.FuzzPartial
-	for _, r := range fuzzSplits {
-		ps, err := m.FuzzShards(ctx, img, cfg, r[0], r[1])
-		if err != nil {
-			f.Fatal(err)
-		}
-		parts = append(parts, ps...)
-	}
-	seedPartials(f, parts)
-	// A malformed seed: shard 0's first two coverage cells swapped, so its
-	// cells are out of order.
-	swapped := *parts[0]
-	c := swapped.Virgin
-	swapped.Virgin = append(append(append(pssp.FuzzCells(nil), c[3:6]...), c[:3]...), c[6:]...)
-	seedPartials(f, []*pssp.FuzzPartial{&swapped})
 	f.Fuzz(func(t *testing.T, data []byte, k uint64) {
 		var parts []*pssp.FuzzPartial
 		if json.Unmarshal(data, &parts) != nil {

@@ -46,15 +46,6 @@ func (pl *Pipeline) CompileApp(name string, opts ...CompileOption) *Pipeline {
 	return pl
 }
 
-// UseImage adopts an already-built image (e.g. one read with OpenImage).
-func (pl *Pipeline) UseImage(img *Image) *Pipeline {
-	if pl.err != nil {
-		return pl
-	}
-	pl.img = img
-	return pl
-}
-
 // Rewrite upgrades the pipeline's statically linked image with the binary
 // rewriter (SSP → P-SSP in place). For dynamically linked apps use the
 // package-level Rewrite, which also rewrites the libc image.

@@ -35,7 +35,6 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/isa"
 	"repro/internal/kernel"
 	"repro/internal/store"
 	"repro/internal/vm"
@@ -95,19 +94,6 @@ func ParseEngine(name string) (Engine, error) {
 		name, strings.Join(EngineNames(), ", "))
 }
 
-// CycleModel selects how the VM accounts cycles per instruction.
-type CycleModel uint8
-
-// Cycle models.
-const (
-	// CyclesCalibrated uses the per-opcode table calibrated against the
-	// paper's i7-4770K testbed. The default.
-	CyclesCalibrated CycleModel = iota
-	// CyclesFlat charges one cycle per instruction — instruction counting,
-	// for throughput comparisons independent of the cost model.
-	CyclesFlat
-)
-
 // Stats accumulates per-opcode execution statistics across every process a
 // Machine runs. Install with WithStats, render with Report.
 type Stats = vm.OpStats
@@ -122,7 +108,6 @@ type config struct {
 	engine       Engine
 	maxInsts     uint64
 	attackBudget int
-	cycleModel   CycleModel
 	traceW       io.Writer
 	traceLimit   uint64
 	stats        *Stats
@@ -164,9 +149,6 @@ func WithMaxInstructions(n uint64) Option { return func(c *config) { c.maxInsts 
 // WithAttackBudget bounds Server.Attack trials when AttackConfig.MaxTrials
 // is zero. The default is 4096.
 func WithAttackBudget(n int) Option { return func(c *config) { c.attackBudget = n } }
-
-// WithCycleModel selects the VM's cycle accounting.
-func WithCycleModel(m CycleModel) Option { return func(c *config) { c.cycleModel = m } }
 
 // WithTrace prints each executed instruction to w, stopping after limit
 // instructions per process (0 = unlimited). Ignored when WithStats is set.
@@ -226,7 +208,7 @@ func (m *Machine) AttackBudget() int { return m.cfg.attackBudget }
 // Now returns the machine's global cycle clock.
 func (m *Machine) Now() uint64 { return m.k.Now() }
 
-// instrument applies the machine's trace/stats/cycle-model options to a
+// instrument applies the machine's trace/stats options to a
 // freshly spawned process. Fork clones CPU state, so instrumentation set on
 // a server parent propagates to every worker.
 func (m *Machine) instrument(p *kernel.Process) {
@@ -235,8 +217,5 @@ func (m *Machine) instrument(p *kernel.Process) {
 		p.CPU.SetTracer(m.cfg.stats)
 	case m.cfg.traceW != nil:
 		p.CPU.SetTracer(&vm.WriterTracer{W: m.cfg.traceW, Limit: m.cfg.traceLimit})
-	}
-	if m.cfg.cycleModel == CyclesFlat {
-		p.CPU.CostModel = func(isa.Op) uint64 { return 1 }
 	}
 }

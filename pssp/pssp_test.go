@@ -297,28 +297,6 @@ func TestImageMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCycleModelFlat checks WithCycleModel: under the flat model cycles
-// equal instructions.
-func TestCycleModelFlat(t *testing.T) {
-	m := pssp.NewMachine(pssp.WithCycleModel(pssp.CyclesFlat))
-	res, err := m.Pipeline().Compile(batchProg()).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles != res.Insts {
-		t.Fatalf("flat model: %d cycles != %d insts", res.Cycles, res.Insts)
-	}
-
-	cal := pssp.NewMachine()
-	cres, err := cal.Pipeline().Compile(batchProg()).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cres.Cycles <= cres.Insts {
-		t.Fatalf("calibrated model suspiciously flat: %d cycles for %d insts", cres.Cycles, cres.Insts)
-	}
-}
-
 // TestPipelineLoadThenServe checks that an explicit Load step feeds the
 // terminal Serve/Run steps instead of being silently discarded, and that
 // late LoadOptions are rejected.
