@@ -19,7 +19,7 @@ import (
 )
 
 // BenchmarkObs measures the metric primitives themselves: the enabled
-// (atomic) and disabled (nil-handle) forms of the counter, histogram, and
+// and disabled (nil-handle) forms of the counter, histogram, and
 // flight-recorder event. All must report 0 allocs/op.
 func BenchmarkObs(b *testing.B) {
 	reg := obs.NewRegistry()
@@ -48,7 +48,7 @@ func BenchmarkObs(b *testing.B) {
 	})
 	b.Run("disablednil", func(b *testing.B) {
 		var c *obs.Counter
-		var h *obs.Hist
+		var h *obs.SyncHist
 		var tr *obs.Trace
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

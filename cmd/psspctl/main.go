@@ -101,7 +101,7 @@ func main() {
 		status    = flag.Bool("status", false, "list the remote daemon's submitted jobs (-id selects one)")
 		cancelJob = flag.Bool("cancel", false, "cancel the remote job named by -id")
 		aggregate = flag.Bool("aggregate", false, "fetch the merged report of the finished remote job named by -id")
-		stats     = flag.Bool("stats", false, "print the remote daemon's stats (leases, worker health and throughput, frontier size, submitted jobs)")
+		stats     = flag.Bool("stats", false, "print the remote daemon's stats (job, pool, store and tenant counters, frontier size, submitted jobs; leases and worker health on a coordinator)")
 		watch     = flag.Bool("watch", false, "live dashboard: redraw remote stats and metrics about once a second")
 		id        = flag.Uint64("id", 0, "job id for -status/-cancel/-aggregate")
 		jsonOut   = flag.Bool("json", false, "print -submit, -status, -cancel and -stats results as JSON")

@@ -75,28 +75,46 @@ func watchFrame(ctx context.Context, c *client.Client, addr string) (string, err
 }
 
 // statsText renders a daemon's stats, for -stats and the dashboard: the
-// lease counters, the worker table and the submitted jobs.
+// daemon's own job, pool and tenant counters, then, on a coordinator, the
+// lease counters and the worker table, and the submitted jobs.
 func statsText(st daemon.Stats) string {
 	var b strings.Builder
-	fs := st.Fabric
-	fmt.Fprintf(&b, "leases: %d issued, %d reassigned", fs.LeasesIssued, fs.LeasesReassigned)
+	fmt.Fprintf(&b, "daemon: %d running, %d queued; %d completed, %d failed, %d canceled\n",
+		st.Running, st.Queued, st.Completed, st.Failed, st.Canceled)
+	p := st.Pool
+	fmt.Fprintf(&b, "pool: %d/%d machines, %d images; %d hits, %d misses, %d evictions, %d respawns; store %d hits, %d misses\n",
+		p.Entries, p.Capacity, p.Images, p.Hits, p.Misses, p.Evictions, p.Respawns, p.StoreHits, p.StoreMisses)
 	if st.FrontierEdges > 0 {
-		fmt.Fprintf(&b, " — frontier %d edges", st.FrontierEdges)
+		fmt.Fprintf(&b, "frontier: %d edges\n", st.FrontierEdges)
 	}
-	b.WriteString("\n\nworkers:\n")
-	if len(fs.Workers) == 0 {
-		b.WriteString("  (none attached)\n")
-	}
-	for _, w := range fs.Workers {
-		state := "idle"
-		switch {
-		case !w.Alive:
-			state = "dead"
-		case w.Busy:
-			state = "busy"
+	if len(st.Tenants) > 0 {
+		b.WriteString("\ntenants:\n")
+		for _, t := range st.Tenants {
+			fmt.Fprintf(&b, "  %-24s running=%-3d jobs=%-6d cycles=%d", t.Name, t.Running, t.Jobs, t.CyclesUsed)
+			if t.CyclesQuota > 0 {
+				fmt.Fprintf(&b, "/%d", t.CyclesQuota)
+			}
+			b.WriteByte('\n')
 		}
-		fmt.Fprintf(&b, "  %-24s %-4s leases=%-5d shards=%-7d %8.1f shards/s\n",
-			w.Name, state, w.Leases, w.ShardsDone, w.ShardsPerSec)
+	}
+	// A coordinator's worker table is never nil, even with none attached;
+	// a plain daemon's is.
+	if fs := st.Fabric; fs.Workers != nil {
+		fmt.Fprintf(&b, "\nleases: %d issued, %d reassigned\n\nworkers:\n", fs.LeasesIssued, fs.LeasesReassigned)
+		if len(fs.Workers) == 0 {
+			b.WriteString("  (none attached)\n")
+		}
+		for _, w := range fs.Workers {
+			state := "idle"
+			switch {
+			case !w.Alive:
+				state = "dead"
+			case w.Busy:
+				state = "busy"
+			}
+			fmt.Fprintf(&b, "  %-24s %-4s leases=%-5d shards=%-7d %8.1f shards/s\n",
+				w.Name, state, w.Leases, w.ShardsDone, w.ShardsPerSec)
+		}
 	}
 	if len(st.Jobs) > 0 {
 		b.WriteString("\njobs:\n" + jobsText(st.Jobs))

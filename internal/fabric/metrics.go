@@ -14,7 +14,7 @@ type fabricMetrics struct {
 	leasesReassigned *obs.Counter
 	watchdogResets   *obs.Counter
 	workersLost      *obs.Counter
-	leaseLatency     *obs.Hist // ns per completed lease
+	leaseLatency     *obs.SyncHist // ns per completed lease
 }
 
 func newFabricMetrics(reg *obs.Registry) *fabricMetrics {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/workpool"
 	"repro/pssp"
 )
 
@@ -178,29 +179,26 @@ func runToExit(ctx context.Context, cfg Config, img *pssp.Image) (uint64, error)
 	return res.Cycles, nil
 }
 
-// specSuiteCycles measures every SPEC analog on concurrent sessions — one
-// Machine per program — with build supplying each program's image. ctx
+// specSuiteCycles measures every SPEC analog concurrently — one Machine
+// per program — with build supplying each program's image. ctx
 // cancellation aborts the whole sweep.
 func specSuiteCycles(ctx context.Context, cfg Config, build func(m *pssp.Machine, app apps.App) (*pssp.Image, error)) (map[string]uint64, error) {
 	suite := apps.Spec()
 	cycles := make([]uint64, len(suite))
-	err := pssp.RunSessions(ctx, len(suite),
-		func(int) []pssp.Option {
-			return []pssp.Option{pssp.WithSeed(cfg.Seed), pssp.WithEngine(cfg.Engine), pssp.WithStore(cfg.Store)}
-		},
-		func(ctx context.Context, s *pssp.Session) error {
-			app := suite[s.ID()]
-			img, err := build(s.Machine(), app)
-			if err != nil {
-				return fmt.Errorf("harness: %s: %w", app.Name, err)
-			}
-			res, err := s.Machine().Run(ctx, img)
-			if err != nil {
-				return fmt.Errorf("harness: %s: %w", app.Name, err)
-			}
-			cycles[s.ID()] = res.Cycles
-			return nil
-		})
+	err := workpool.Run(ctx, len(suite), len(suite), func(ctx context.Context, i int) error {
+		app := suite[i]
+		m := cfg.machine(pssp.WithSeed(cfg.Seed))
+		img, err := build(m, app)
+		if err != nil {
+			return fmt.Errorf("harness: %s: %w", app.Name, err)
+		}
+		res, err := m.Run(ctx, img)
+		if err != nil {
+			return fmt.Errorf("harness: %s: %w", app.Name, err)
+		}
+		cycles[i] = res.Cycles
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -6,14 +6,15 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/workpool"
 	"repro/pssp"
 )
 
 // threeWay runs measure once per setting of the paper's three — native
 // (SSP default), compiler-based P-SSP, and instrumentation-based P-SSP —
-// with app built under that setting. The settings run on concurrent
-// sessions, one Machine each; the seeds match the sequential formulation
-// so results are bit-identical.
+// with app built under that setting. The settings run concurrently, one
+// Machine each; the seeds match the sequential formulation so results are
+// bit-identical.
 func threeWay(cfg Config, app apps.App, measure func(ctx context.Context, m *pssp.Machine, img *pssp.Image, setting int) error) error {
 	builds := [3]func(m *pssp.Machine) (*pssp.Image, error){
 		func(m *pssp.Machine) (*pssp.Image, error) {
@@ -29,21 +30,17 @@ func threeWay(cfg Config, app apps.App, measure func(ctx context.Context, m *pss
 				Image()
 		},
 	}
-	return pssp.RunSessions(context.Background(), len(builds),
-		func(i int) []pssp.Option {
-			return []pssp.Option{pssp.WithSeed(cfg.Seed + uint64(i)), pssp.WithEngine(cfg.Engine), pssp.WithStore(cfg.Store)}
-		},
-		func(ctx context.Context, s *pssp.Session) error {
-			i := s.ID()
-			img, err := builds[i](s.Machine())
-			if err != nil {
-				return err
-			}
-			if err := measure(ctx, s.Machine(), img, i); err != nil {
-				return fmt.Errorf("%s setting %d: %w", app.Name, i, err)
-			}
-			return nil
-		})
+	return workpool.Run(context.Background(), len(builds), len(builds), func(ctx context.Context, i int) error {
+		m := cfg.machine(pssp.WithSeed(cfg.Seed + uint64(i)))
+		img, err := builds[i](m)
+		if err != nil {
+			return err
+		}
+		if err := measure(ctx, m, img, i); err != nil {
+			return fmt.Errorf("%s setting %d: %w", app.Name, i, err)
+		}
+		return nil
+	})
 }
 
 // threeWayServer measures one server app's average request cycles and

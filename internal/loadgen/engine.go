@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/workpool"
 )
@@ -265,14 +266,14 @@ func (h *eventHeap) pop() clientEvent {
 }
 
 // ClassPartial is one class's slice of a shard partial, in mix order. The
-// latency histogram travels in its lossless wire form (see Hist JSON).
+// latency histogram travels in its lossless wire form (see obs.Hist JSON).
 type ClassPartial struct {
-	Requests          int  `json:"requests"`
-	Crashes           int  `json:"crashes"`
-	Detections        int  `json:"detections"`
-	ProbeReplications int  `json:"probe_replications"`
-	ProbeSuccesses    int  `json:"probe_successes"`
-	Latency           Hist `json:"latency"`
+	Requests          int      `json:"requests"`
+	Crashes           int      `json:"crashes"`
+	Detections        int      `json:"detections"`
+	ProbeReplications int      `json:"probe_replications"`
+	ProbeSuccesses    int      `json:"probe_successes"`
+	Latency           obs.Hist `json:"latency"`
 }
 
 // Partial is one shard's complete result: the state runShard fills, and,
@@ -285,7 +286,7 @@ type Partial struct {
 	Crashes    int            `json:"crashes"`
 	Detections int            `json:"detections"`
 	Makespan   uint64         `json:"makespan"`
-	Latency    Hist           `json:"latency"`
+	Latency    obs.Hist       `json:"latency"`
 	Classes    []ClassPartial `json:"classes"`
 }
 
@@ -333,9 +334,9 @@ func RunShards(ctx context.Context, cfg Config, boot Boot, lo, hi int) ([]*Parti
 	// completion, when it refreshes the latency quantiles of the shards
 	// done so far (per-request quantiles would dominate the engine's cost).
 	mt := workpool.NewMeter(cfg.Progress, cfg.ProgressEvery, Progress{Shards: cfg.Shards})
-	var lat *Hist // guarded by mt's lock
+	var lat *obs.Hist // guarded by mt's lock
 	if mt != nil {
-		lat = new(Hist)
+		lat = new(obs.Hist)
 	}
 	// Cancellation and fatal-error semantics live in workpool; a shard
 	// stores its (possibly partial) result before reporting any error, so
@@ -397,7 +398,7 @@ func merge(cfg Config, slots []*Partial) *Report {
 		Arrivals: cfg.Arrivals.String(),
 		Shards:   cfg.Shards,
 	}
-	var all Hist
+	var all obs.Hist
 	classes := make([]ClassPartial, len(cfg.Mix))
 	for _, st := range slots {
 		if st == nil {
@@ -421,7 +422,7 @@ func merge(cfg Config, slots []*Partial) *Report {
 			c.Latency.Merge(&s.Latency)
 		}
 	}
-	rep.Latency = all.Summary()
+	rep.Latency = summarize(&all)
 	for i, cl := range cfg.Mix {
 		c := &classes[i]
 		rep.ProbeReplications += c.ProbeReplications
@@ -433,7 +434,7 @@ func merge(cfg Config, slots []*Partial) *Report {
 			Detections:        c.Detections,
 			ProbeReplications: c.ProbeReplications,
 			ProbeSuccesses:    c.ProbeSuccesses,
-			Latency:           c.Latency.Summary(),
+			Latency:           summarize(&c.Latency),
 		})
 	}
 	// Throughput sums per-shard rates (shards are independent replica

@@ -30,6 +30,7 @@ import (
 	"runtime"
 
 	"repro/internal/attack"
+	"repro/internal/obs"
 )
 
 // Class is one request class of a traffic mix. Exactly one of Payload or
@@ -228,6 +229,36 @@ func (c Config) Normalize() (Config, error) {
 		}
 	}
 	return c, nil
+}
+
+// LatencySummary is a histogram rendered for a report: sample count, exact
+// mean/min/max, the paper-style tail quantiles, and the non-empty buckets so
+// consumers can recompute any other quantile.
+type LatencySummary struct {
+	Count      uint64       `json:"count"`
+	MeanCycles float64      `json:"mean_cycles"`
+	Min        uint64       `json:"min_cycles"`
+	P50        uint64       `json:"p50_cycles"`
+	P90        uint64       `json:"p90_cycles"`
+	P99        uint64       `json:"p99_cycles"`
+	P999       uint64       `json:"p999_cycles"`
+	Max        uint64       `json:"max_cycles"`
+	Buckets    []obs.Bucket `json:"buckets,omitempty"`
+}
+
+// summarize renders a latency histogram for a report.
+func summarize(h *obs.Hist) LatencySummary {
+	return LatencySummary{
+		Count:      h.Count(),
+		MeanCycles: h.Mean(),
+		Min:        h.Min(),
+		P50:        h.Quantile(0.50),
+		P90:        h.Quantile(0.90),
+		P99:        h.Quantile(0.99),
+		P999:       h.Quantile(0.999),
+		Max:        h.Max(),
+		Buckets:    h.Buckets(),
+	}
 }
 
 // ClassStats is one class's slice of the report.

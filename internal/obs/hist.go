@@ -1,30 +1,25 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/bits"
-	"sync/atomic"
+	"sync"
 )
 
-// HDR-style log-bucketed value axis, shared with internal/loadgen's latency
-// histograms: exact width-1 buckets below bucketExactMax, then bucketSub
-// linear sub-buckets per power-of-two octave. Relative error above the
-// exact range is bounded by 1/bucketSub ≈ 3%.
+// HDR-style log-bucketed value axis: exact width-1 buckets below
+// bucketExactMax, then bucketSub linear sub-buckets per power-of-two octave,
+// so any value above the exact range lands in a bucket whose upper bound
+// overstates it by at most 1/bucketSub (~3.1%).
 const (
 	bucketExactMax = 64 // values below this get exact buckets
 	bucketSubBits  = 5
 	bucketSub      = 1 << bucketSubBits // linear sub-buckets per octave
-
-	// NumBuckets is the fixed length of the bucket axis.
-	NumBuckets = bucketExactMax + (64-6)*bucketSub
-
-	// NumExact and SubPerOctave re-export the axis shape for consumers
-	// (internal/loadgen) that reason about bucketing error bounds.
-	NumExact     = bucketExactMax
-	SubPerOctave = bucketSub
+	numBuckets     = bucketExactMax + (64-6)*bucketSub
 )
 
-// BucketIdx maps a value to its bucket index.
-func BucketIdx(v uint64) int {
+// bucketIdx maps a value to its bucket index.
+func bucketIdx(v uint64) int {
 	if v < bucketExactMax {
 		return int(v)
 	}
@@ -32,9 +27,9 @@ func BucketIdx(v uint64) int {
 	return bucketExactMax + (k-7)*bucketSub + int((v-1<<(k-1))>>(k-1-bucketSubBits))
 }
 
-// BucketMax returns the largest value mapping to bucket i — the value
+// bucketMax returns the largest value mapping to bucket i — the value
 // reported for any sample that landed in that bucket.
-func BucketMax(i int) uint64 {
+func bucketMax(i int) uint64 {
 	if i < bucketExactMax {
 		return uint64(i)
 	}
@@ -44,99 +39,158 @@ func BucketMax(i int) uint64 {
 	return 1<<(k-1) + (sub+1)<<(k-1-bucketSubBits) - 1
 }
 
-// Hist is a lock-free log-bucketed histogram. Record is allocation-free
-// and nil-safe — the disabled path is a single nil check.
+// Hist is the log-bucketed histogram behind every latency figure: the
+// load generator's per-shard and per-class histograms, and the registry's
+// histogram series. Buckets are a fixed-size array, so Record never
+// allocates and Merge is a plain element-wise sum — which is what makes
+// sharded aggregation deterministic: merging per-shard histograms in shard
+// order yields bit-identical counts at any worker count.
+//
+// The zero value is an empty histogram ready for use. Hist is not safe for
+// concurrent use; each shard owns its own and merges after the workers
+// drain, and the registry guards its series with a lock (see SyncHist).
 type Hist struct {
-	count  atomic.Uint64
-	sum    atomic.Uint64
-	max    atomic.Uint64
-	counts [NumBuckets]atomic.Uint64
+	counts [numBuckets]uint64
+	count  uint64
+	sum    uint64
+	min    uint64
+	max    uint64
 }
-
-func newHist() *Hist { return new(Hist) }
 
 // Record adds one sample.
 func (h *Hist) Record(v uint64) {
-	if h == nil {
+	h.counts[bucketIdx(v)]++
+	h.count++
+	h.sum += v
+	if h.count == 1 || v < h.min {
+		h.min = v
+	}
+	if v > h.max {
+		h.max = v
+	}
+}
+
+// Merge folds o into h.
+func (h *Hist) Merge(o *Hist) {
+	if o.count == 0 {
 		return
 	}
-	h.counts[BucketIdx(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
+	for i, c := range o.counts {
+		h.counts[i] += c
 	}
-}
-
-// Snapshot copies the histogram into an immutable view. The copy is not a
-// consistent cut under concurrent writers (buckets are read one by one),
-// which is fine for monitoring.
-func (h *Hist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	if h == nil {
-		return s
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
 	}
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+	if o.max > h.max {
+		h.max = o.max
 	}
-	return s
+	h.count += o.count
+	h.sum += o.sum
 }
 
-// HistSnapshot is a point-in-time copy of a Hist.
-type HistSnapshot struct {
-	Count  uint64
-	Sum    uint64
-	Max    uint64
-	Counts [NumBuckets]uint64
-}
+// Count returns the number of recorded samples.
+func (h *Hist) Count() uint64 { return h.count }
 
-// Quantile returns the value at quantile q in [0, 1].
-func (s *HistSnapshot) Quantile(q float64) uint64 {
-	return Quantile(&s.Counts, s.Count, s.Max, q)
-}
+// Min returns the smallest recorded sample (0 when empty).
+func (h *Hist) Min() uint64 { return h.min }
 
-// Quantile is the one quantile rule, shared by the metrics registry and the
-// loadgen reports so /metrics and a report agree on every percentile: the
-// value at quantile q in [0, 1] of count samples bucketed in counts is the
-// upper bound of the bucket holding the nearest-rank sample, clamped to the
-// exact largest sample maxSample. (That bound is never below the smallest
-// sample, so no lower clamp is needed.)
-func Quantile(counts *[NumBuckets]uint64, count, maxSample uint64, q float64) uint64 {
-	if count == 0 {
+// Max returns the largest recorded sample (0 when empty).
+func (h *Hist) Max() uint64 { return h.max }
+
+// Mean returns the exact mean of the recorded samples (0 when empty).
+func (h *Hist) Mean() float64 {
+	if h.count == 0 {
 		return 0
 	}
-	rank := uint64(q*float64(count) + 0.9999999)
+	return float64(h.sum) / float64(h.count)
+}
+
+// Quantile is the one quantile rule, so /metrics and a report agree on
+// every percentile: the value at quantile q in [0, 1] is the upper bound of
+// the bucket holding the nearest-rank sample, clamped to the exact observed
+// maximum, so Quantile(1) is the maximum. (That bound is never below the
+// smallest sample, so no lower clamp is needed.)
+func (h *Hist) Quantile(q float64) uint64 {
+	if h.count == 0 {
+		return 0
+	}
+	rank := uint64(q*float64(h.count) + 0.9999999)
 	if rank < 1 {
 		rank = 1
 	}
-	if rank > count {
-		rank = count
+	if rank > h.count {
+		rank = h.count
 	}
 	var cum uint64
-	for i, c := range counts {
+	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			return min(BucketMax(i), maxSample)
+			return min(bucketMax(i), h.max)
 		}
 	}
-	return maxSample
+	return h.max
 }
 
-// Mean returns the arithmetic mean of recorded samples.
-func (s *HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
+// Bucket is one non-empty histogram bucket: Count samples with values at
+// most Max (and above the previous bucket's Max).
+type Bucket struct {
+	Max   uint64 `json:"max"`
+	Count uint64 `json:"count"`
+}
+
+// Buckets returns the non-empty buckets in ascending value order.
+func (h *Hist) Buckets() []Bucket {
+	var out []Bucket
+	for i, c := range h.counts {
+		if c != 0 {
+			out = append(out, Bucket{Max: bucketMax(i), Count: c})
+		}
 	}
-	return float64(s.Sum) / float64(s.Count)
+	return out
 }
 
-// HistSummary is the compact JSON form of a histogram.
+// histWire is Hist's JSON form: the sparse non-zero buckets by index plus
+// the exact scalar tallies. It is lossless — a decoded histogram merges
+// bit-identically to the original — which a rendered summary is not (its
+// mean is a rounded float and its buckets carry values, not indices). The
+// distributed fabric ships per-shard histograms in this form.
+type histWire struct {
+	Buckets [][2]uint64 `json:"buckets,omitempty"` // [bucket index, count] pairs, ascending
+	Count   uint64      `json:"count"`
+	Sum     uint64      `json:"sum"`
+	Min     uint64      `json:"min,omitempty"`
+	Max     uint64      `json:"max,omitempty"`
+}
+
+// MarshalJSON encodes the histogram losslessly (see histWire).
+func (h Hist) MarshalJSON() ([]byte, error) {
+	w := histWire{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+	for i, c := range h.counts {
+		if c != 0 {
+			w.Buckets = append(w.Buckets, [2]uint64{uint64(i), c})
+		}
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON decodes a histogram encoded by MarshalJSON.
+func (h *Hist) UnmarshalJSON(b []byte) error {
+	var w histWire
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*h = Hist{count: w.Count, sum: w.Sum, min: w.Min, max: w.Max}
+	for _, bc := range w.Buckets {
+		if bc[0] >= numBuckets {
+			return fmt.Errorf("obs: histogram bucket index %d out of range", bc[0])
+		}
+		h.counts[bc[0]] += bc[1]
+	}
+	return nil
+}
+
+// HistSummary is the compact JSON form of a registry histogram, as served
+// on /metrics and by the metrics RPC.
 type HistSummary struct {
 	Count uint64  `json:"count"`
 	Sum   uint64  `json:"sum"`
@@ -148,16 +202,40 @@ type HistSummary struct {
 	Max   uint64  `json:"max"`
 }
 
-// Summary reduces the snapshot to its headline statistics.
-func (s *HistSnapshot) Summary() HistSummary {
+// SyncHist is the registry's histogram handle: a Hist behind a mutex.
+// Record is allocation-free and nil-safe — the disabled path is a single
+// nil check.
+type SyncHist struct {
+	mu sync.Mutex
+	h  Hist
+}
+
+// Record adds one sample.
+func (s *SyncHist) Record(v uint64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.h.Record(v)
+	s.mu.Unlock()
+}
+
+// Summary reduces the histogram to its headline statistics (zero on nil).
+func (s *SyncHist) Summary() HistSummary {
+	if s == nil {
+		return HistSummary{}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := &s.h
 	return HistSummary{
-		Count: s.Count,
-		Sum:   s.Sum,
-		Mean:  s.Mean(),
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P99:   s.Quantile(0.99),
-		P999:  s.Quantile(0.999),
-		Max:   s.Max,
+		Count: h.count,
+		Sum:   h.sum,
+		Mean:  h.Mean(),
+		P50:   h.Quantile(0.50),
+		P90:   h.Quantile(0.90),
+		P99:   h.Quantile(0.99),
+		P999:  h.Quantile(0.999),
+		Max:   h.max,
 	}
 }

@@ -1,16 +1,19 @@
 // Package obs is the dependency-free observability core of the serving
-// stack: an allocation-free metrics registry (atomic counters, gauges and
-// log-bucketed histograms), a bounded per-job flight recorder of structured
+// stack: an allocation-free metrics registry (atomic counters and gauges,
+// lock-guarded histograms), a bounded per-job flight recorder of structured
 // span events, and an HTTP exposition endpoint (Prometheus text format,
-// net/http/pprof, JSON trace dumps).
+// net/http/pprof, JSON trace dumps). Hist, the log-bucketed histogram with
+// the one quantile rule, is also the load generator's latency histogram, so
+// /metrics and a load report bucket and rank samples the same way.
 //
 // The discipline mirrors vm.CovMap: an instrumented hot path pays exactly
 // one nil (or atomic-pointer) check when observability is off, and
-// recording never allocates — metric handles are fixed-size atomics and
-// trace events land in preallocated ring slots. Observability is a pure
-// read side: nothing in this package feeds back into any engine, so every
-// campaign/loadtest/fuzz report stays byte-identical with metrics on or
-// off (enforced by TestReportsByteIdenticalWithMetrics in internal/daemon).
+// recording never allocates — counters and gauges are atomics, a histogram
+// is a fixed-size bucket array, and trace events land in preallocated ring
+// slots. Observability is a pure read side: nothing in this package feeds
+// back into any engine, so every campaign/loadtest/fuzz report stays
+// byte-identical with metrics on or off (enforced by
+// TestReportsByteIdenticalWithMetrics in internal/daemon).
 package obs
 
 import (
@@ -83,13 +86,13 @@ func (g *Gauge) Load() int64 {
 
 // Registry is a named-metric table. Lookups are get-or-create and
 // idempotent, so independent components may claim the same series; the
-// returned handles are the shared atomics. A nil *Registry hands out nil
-// handles, which record nothing — callers never need their own guard.
+// returned handles are shared. A nil *Registry hands out nil handles,
+// which record nothing — callers never need their own guard.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	hists      map[string]*Hist
+	hists      map[string]*SyncHist
 	collectors []func(emit func(name string, value float64))
 }
 
@@ -98,7 +101,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Hist),
+		hists:    make(map[string]*SyncHist),
 	}
 }
 
@@ -133,7 +136,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Hist returns the named histogram, creating it on first use.
-func (r *Registry) Hist(name string) *Hist {
+func (r *Registry) Hist(name string) *SyncHist {
 	if r == nil {
 		return nil
 	}
@@ -141,7 +144,7 @@ func (r *Registry) Hist(name string) *Hist {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = newHist()
+		h = new(SyncHist)
 		r.hists[name] = h
 	}
 	return h
@@ -211,8 +214,7 @@ func (r *Registry) Snapshot() []Series {
 		out = append(out, Series{Name: name, Kind: "gauge", Value: float64(g.Load())})
 	}
 	for name, h := range r.hists {
-		snap := h.Snapshot()
-		s := snap.Summary()
+		s := h.Summary()
 		out = append(out, Series{Name: name, Kind: "hist", Hist: &s})
 	}
 	collectors := r.collectors

@@ -40,7 +40,7 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	g.Set(1)
 	g.Add(1)
 	h.Record(9)
-	if c.Load() != 0 || g.Load() != 0 || h.Snapshot().Count != 0 {
+	if c.Load() != 0 || g.Load() != 0 || h.Summary().Count != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	if r.Text() != "" || r.Snapshot() != nil {
@@ -60,56 +60,95 @@ func TestNilHandlesAreSafe(t *testing.T) {
 func TestBucketRoundTrip(t *testing.T) {
 	// Every bucket's reported max must map back into that bucket, and
 	// indices must be monotone in the value.
-	for i := 0; i < NumBuckets; i++ {
-		if got := BucketIdx(BucketMax(i)); got != i {
-			t.Fatalf("BucketIdx(BucketMax(%d)) = %d", i, got)
+	for i := 0; i < numBuckets; i++ {
+		if got := bucketIdx(bucketMax(i)); got != i {
+			t.Fatalf("bucketIdx(bucketMax(%d)) = %d", i, got)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
 	prev := 0
 	for v := uint64(0); v < 4096; v++ {
-		idx := BucketIdx(v)
+		idx := bucketIdx(v)
 		if idx < prev {
-			t.Fatalf("BucketIdx not monotone at %d", v)
+			t.Fatalf("bucketIdx not monotone at %d", v)
 		}
 		prev = idx
-		if BucketMax(idx) < v {
-			t.Fatalf("BucketMax(%d) = %d below value %d", idx, BucketMax(idx), v)
+		if bucketMax(idx) < v {
+			t.Fatalf("bucketMax(%d) = %d below value %d", idx, bucketMax(idx), v)
 		}
 	}
 	for i := 0; i < 10000; i++ {
 		v := rng.Uint64()
-		idx := BucketIdx(v)
-		if idx < 0 || idx >= NumBuckets {
-			t.Fatalf("BucketIdx(%d) = %d out of range", v, idx)
+		idx := bucketIdx(v)
+		if idx < 0 || idx >= numBuckets {
+			t.Fatalf("bucketIdx(%d) = %d out of range", v, idx)
 		}
-		if BucketMax(idx) < v {
-			t.Fatalf("BucketMax(BucketIdx(%d)) = %d too small", v, BucketMax(idx))
+		if bucketMax(idx) < v {
+			t.Fatalf("bucketMax(bucketIdx(%d)) = %d too small", v, bucketMax(idx))
 		}
 	}
 }
 
+func TestBucketRoundTripProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	check := func(v uint64) {
+		i := bucketIdx(v)
+		hi := bucketMax(i)
+		if v > hi {
+			t.Fatalf("value %d above its bucket upper bound %d (bucket %d)", v, hi, i)
+		}
+		if i > 0 && bucketMax(i-1) >= v {
+			t.Fatalf("value %d not above previous bucket bound %d (bucket %d)", v, bucketMax(i-1), i)
+		}
+		// Relative error of the reported bound is at most one sub-bucket.
+		if v >= bucketExactMax && float64(hi-v) > float64(v)/bucketSub+1 {
+			t.Fatalf("value %d: bound %d overstates by %d (> %d)", v, hi, hi-v, v/bucketSub+1)
+		}
+	}
+	for v := uint64(0); v < 4096; v++ {
+		check(v)
+	}
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64() >> uint(r.Intn(64)))
+	}
+	check(^uint64(0))
+}
+
+// TestHistQuantiles checks the quantile rule on a plain histogram and the
+// same samples' summary through a registry handle.
 func TestHistQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Hist("lat")
+	var h Hist
+	sh := NewRegistry().Hist("lat")
 	for v := uint64(1); v <= 1000; v++ {
 		h.Record(v)
+		sh.Record(v)
 	}
-	s := h.Snapshot()
-	if s.Count != 1000 || s.Max != 1000 {
-		t.Fatalf("count=%d max=%d", s.Count, s.Max)
+	if h.Count() != 1000 || h.Min() != 1 || h.Max() != 1000 {
+		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
 	}
-	p50 := s.Quantile(0.5)
-	if p50 < 450 || p50 > 550 {
-		t.Fatalf("p50 = %d, want ~500", p50)
+	if got := h.Quantile(0); got != 1 {
+		t.Errorf("p0 = %d, want 1", got)
 	}
-	p99 := s.Quantile(0.99)
-	if p99 < 950 || p99 > 1024 {
-		t.Fatalf("p99 = %d, want ~990", p99)
+	if got := h.Quantile(1); got != 1000 {
+		t.Errorf("p100 = %d, want 1000", got)
 	}
-	sum := s.Summary()
-	if sum.Count != 1000 || sum.Mean < 500 || sum.Mean > 501 {
-		t.Fatalf("summary = %+v", sum)
+	// Log-bucketed: quantiles may overstate by at most one sub-bucket.
+	for _, q := range []struct {
+		q    float64
+		want uint64
+	}{{0.5, 500}, {0.9, 900}, {0.99, 990}, {0.999, 999}} {
+		got := h.Quantile(q.q)
+		if got < q.want || float64(got-q.want) > float64(q.want)/bucketSub+1 {
+			t.Errorf("p%g = %d, want within one sub-bucket above %d", q.q*100, got, q.want)
+		}
+	}
+	if m := h.Mean(); m != 500.5 {
+		t.Errorf("mean = %g, want 500.5 (sum is exact)", m)
+	}
+	want := HistSummary{Count: 1000, Sum: 500500, Mean: 500.5, P50: h.Quantile(0.5), P90: h.Quantile(0.9),
+		P99: h.Quantile(0.99), P999: h.Quantile(0.999), Max: 1000}
+	if got := sh.Summary(); got != want {
+		t.Fatalf("registry summary = %+v, want %+v", got, want)
 	}
 }
 
@@ -127,7 +166,7 @@ func TestHistConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := h.Snapshot().Count; got != 8000 {
+	if got := h.Summary().Count; got != 8000 {
 		t.Fatalf("count = %d, want 8000", got)
 	}
 }
@@ -300,7 +339,7 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	rec := NewRecorder(2, 8)
 	tr := rec.Begin(1, "bench")
 	var nilC *Counter
-	var nilH *Hist
+	var nilH *SyncHist
 	var nilT *Trace
 	cases := []struct {
 		name string

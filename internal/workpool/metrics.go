@@ -12,7 +12,7 @@ import (
 // time in nanoseconds. Package-level because the pool is a leaf shared by
 // all three engines — threading a handle through each would spread an
 // observability argument across every engine signature.
-var serviceHist atomic.Pointer[obs.Hist]
+var serviceHist atomic.Pointer[obs.SyncHist]
 
 // SetMetrics installs (or, with a nil registry, removes) the shard
 // service-time histogram. The disabled path in the worker loop is one

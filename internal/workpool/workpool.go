@@ -1,9 +1,10 @@
-// Package workpool is the sharded worker-pool discipline shared by the
-// Monte-Carlo campaign engine, the virtual-time load generator and the
-// coverage-guided fuzzer: N self-contained work units (replications or
-// shards) dispatched to a bounded pool of goroutines, with one fatal error
-// cancelling the rest and context cancellation stopping the feed without
-// counting as a failure.
+// Package workpool is the one parallel-for of the repository, shared by
+// the Monte-Carlo campaign engine, the virtual-time load generator, the
+// coverage-guided fuzzer and the evaluation harness (whose concurrent
+// machines run one unit per worker): N self-contained work units
+// (replications, shards or measurements) dispatched to a bounded pool of
+// goroutines, with one fatal error cancelling the rest and context
+// cancellation stopping the feed without counting as a failure.
 //
 // The pool carries no results — each engine writes its unit's outcome into
 // its own preallocated slot (unit i is executed exactly once, so distinct

@@ -42,6 +42,19 @@ func TestRunFatalErrorCancelsPool(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
+
+	// Units already running see the cancellation: each peer blocks until
+	// its ctx is done, so the pool returns only if the failure cancelled it.
+	err = Run(context.Background(), 8, 8, func(ctx context.Context, unit int) error {
+		if unit == 3 {
+			return boom
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("in-flight peers: err = %v, want %v", err, boom)
+	}
 }
 
 // TestMeterTicksAndFlushes: the meter calls back every `every` ticks and on

@@ -31,21 +31,14 @@ func AttackStrategies() []StrategyInfo {
 	return out
 }
 
-// Replica returns a machine configured like m (scheme, engine, budgets)
-// but running on the stream'th derived entropy stream of m's seed.
-// Replicas are how one logical machine serves concurrent trials: a Machine
-// is single-threaded by design, so each worker gets its own replica instead
-// of locking shared state. Replica consumes no entropy from m — the same
-// stream index always yields the same machine. WithStats/WithTrace
-// collectors are NOT carried over: they are single-machine accumulators,
-// not safe to share across concurrently running replicas.
-func (m *Machine) Replica(stream uint64) *Machine {
-	return m.withSeed(rng.Mix(m.cfg.seed, stream))
-}
-
-// withSeed clones m's configuration (minus instrumentation collectors)
-// onto a fresh kernel seeded with seed, via kernel.ReplicaSeeded so the
-// kernel-level configuration is inherited in one place.
+// withSeed clones m's configuration onto a fresh kernel seeded with seed,
+// via kernel.ReplicaSeeded so the kernel-level configuration is inherited
+// in one place. This is how one logical machine serves concurrent trials:
+// a Machine is single-threaded by design, so each campaign replication and
+// each load or fuzz shard attacks its own victim instead of locking shared
+// state. WithStats/WithTrace collectors are NOT carried over: they are
+// single-machine accumulators, not safe to share across concurrently
+// running victims.
 func (m *Machine) withSeed(seed uint64) *Machine {
 	cfg := m.cfg
 	cfg.seed = seed

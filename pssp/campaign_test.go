@@ -182,38 +182,6 @@ func TestCampaignCancellationPartialAggregates(t *testing.T) {
 	}
 }
 
-// TestReplicaMachines pins the facade replica semantics: deterministic
-// derivation, configuration inheritance, and independence across streams.
-func TestReplicaMachines(t *testing.T) {
-	ctx := context.Background()
-	m := pssp.NewMachine(pssp.WithSeed(42), pssp.WithScheme(pssp.SchemeSSP), pssp.WithAttackBudget(123))
-	img, err := m.CompileApp("nginx-vuln")
-	if err != nil {
-		t.Fatal(err)
-	}
-	canary := func(mm *pssp.Machine) uint64 {
-		srv, err := mm.Serve(ctx, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := srv.Canary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	r0 := m.Replica(0)
-	if r0.Scheme() != m.Scheme() || r0.AttackBudget() != 123 || r0.Engine() != m.Engine() {
-		t.Fatal("replica dropped configuration")
-	}
-	if canary(m.Replica(1)) != canary(m.Replica(1)) {
-		t.Fatal("same replica stream produced different victims")
-	}
-	if canary(m.Replica(1)) == canary(m.Replica(2)) {
-		t.Fatal("distinct replica streams produced the same victim")
-	}
-}
-
 // TestCampaignWithStatsMachineIsRaceFree pins the replica instrumentation
 // rule: WithStats/WithTrace collectors are single-machine accumulators, so
 // campaign victim replicas must not share the parent machine's collector —

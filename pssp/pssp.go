@@ -21,8 +21,8 @@
 // Every run accepts a context.Context whose cancellation is checked inside
 // the VM step loop, so long simulations are abortable mid-instruction-stream.
 // Machines are self-contained: any number of them may run concurrently on
-// separate goroutines (see Session and RunSessions), which is how the
-// evaluation harness parallelizes the paper's tables.
+// separate goroutines, one Machine each, which is how the evaluation
+// harness parallelizes the paper's tables.
 //
 // Failures carry a sentinel taxonomy compatible with errors.Is/As: ErrCrash
 // for any abnormal termination, ErrCanaryDetected for crashes raised by a
@@ -69,29 +69,20 @@ func Engines() []Engine {
 	return []Engine{EngineInterpreter, EnginePredecoded, EngineCompiled}
 }
 
-// EngineNames returns the parseable names of every engine, in Engines()
-// order.
-func EngineNames() []string {
-	es := Engines()
-	names := make([]string, len(es))
-	for i, e := range es {
-		names[i] = e.String()
-	}
-	return names
-}
-
 // ParseEngine resolves an engine name ("interpreter", "predecoded",
 // "compiled") case-insensitively, ignoring surrounding whitespace. Unknown
 // names produce an error enumerating every accepted name.
 func ParseEngine(name string) (Engine, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
+	var names []string
 	for _, e := range Engines() {
 		if e.String() == n {
 			return e, nil
 		}
+		names = append(names, e.String())
 	}
 	return 0, fmt.Errorf("pssp: unknown engine %q (engines: %s)",
-		name, strings.Join(EngineNames(), ", "))
+		name, strings.Join(names, ", "))
 }
 
 // Stats accumulates per-opcode execution statistics across every process a

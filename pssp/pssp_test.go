@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/workpool"
 	"repro/pssp"
 )
 
@@ -383,5 +385,74 @@ func TestMachineCloseRetiresServers(t *testing.T) {
 	}
 	if resp.Crashed() {
 		t.Fatalf("benign request crashed on post-Close server: %v", resp.Err)
+	}
+}
+
+// TestConcurrentSessions runs 12 independent Machines on one worker pool —
+// each compiling, serving, attacking, and running batch work — and checks
+// every machine's results. `go test -race` makes this the facade's
+// isolation proof: no state is shared between machines.
+func TestConcurrentSessions(t *testing.T) {
+	const n = 12
+	type outcome struct {
+		canary    uint64
+		attackWon bool
+		batchOut  []byte
+	}
+	results := make([]outcome, n)
+
+	err := workpool.Run(context.Background(), n, n, func(ctx context.Context, id int) error {
+		m := pssp.NewMachine(pssp.WithSeed(uint64(id) + 1))
+		// Odd machines run the polymorphic scheme, even ones classic SSP,
+		// so concurrent machines exercise different pass pipelines.
+		scheme := pssp.SchemeSSP
+		if id%2 == 1 {
+			scheme = pssp.SchemePSSP
+		}
+		srv, err := m.Pipeline().CompileApp("nginx-vuln", pssp.CompileScheme(scheme)).Serve(ctx)
+		if err != nil {
+			return fmt.Errorf("machine %d: serve: %w", id, err)
+		}
+		for i := 0; i < 3; i++ {
+			resp, err := srv.Handle(ctx, []byte("GET /"))
+			if err != nil {
+				return fmt.Errorf("machine %d: handle: %w", id, err)
+			}
+			if resp.Crashed() {
+				return fmt.Errorf("machine %d: benign request crashed: %w", id, resp.Err)
+			}
+		}
+		res, err := srv.Attack(ctx, pssp.AttackConfig{MaxTrials: 512})
+		if err != nil {
+			return fmt.Errorf("machine %d: attack: %w", id, err)
+		}
+		canary, err := srv.Canary()
+		if err != nil {
+			return err
+		}
+
+		batch, err := m.Pipeline().Compile(batchProg(), pssp.CompileScheme(scheme)).Run(ctx)
+		if err != nil {
+			return fmt.Errorf("machine %d: batch: %w", id, err)
+		}
+		results[id] = outcome{canary: canary, attackWon: res.Success, batchOut: batch.Output}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seen := make(map[uint64]int)
+	for id, r := range results {
+		if !bytes.Equal(r.batchOut, []byte{42}) {
+			t.Errorf("machine %d: batch output %v", id, r.batchOut)
+		}
+		if r.attackWon && id%2 == 1 {
+			t.Errorf("machine %d: attack succeeded against P-SSP", id)
+		}
+		if prev, dup := seen[r.canary]; dup {
+			t.Errorf("machines %d and %d share a canary %016x — machines not independent", prev, id, r.canary)
+		}
+		seen[r.canary] = id
 	}
 }
